@@ -9,8 +9,8 @@ the conventions in force.
 
 __version__ = "0.1.0"
 
-from .exact import (BivarPoly, EpsSeries, ExactError, LaurentPoly, QSeries,
-                    eps_invert, euler_inverse_series, lp_arith, macmahon_series,
+from .exact import (BivarPoly, ExactError, LaurentPoly, QSeries,
+                    euler_inverse_series, lp_arith, macmahon_series,
                     qs_compose, qs_exp, qs_log, qs_pow_int, rat_arith)
 from .fmcalc import (ChernSymbol, FMExpr, Insertion, TnTerm, dilaton_step,
                      reduce_pure_tilde, string_step, tn_eval, tn_integral)
@@ -26,8 +26,8 @@ from .wallx import (FullCrossingTerm, WallSpec, WallTerm, ch_series,
 
 __all__ = [
     "__version__",
-    "BivarPoly", "EpsSeries", "ExactError", "LaurentPoly", "QSeries",
-    "eps_invert", "euler_inverse_series", "lp_arith", "macmahon_series",
+    "BivarPoly", "ExactError", "LaurentPoly", "QSeries",
+    "euler_inverse_series", "lp_arith", "macmahon_series",
     "qs_compose", "qs_exp", "qs_log", "qs_pow_int", "rat_arith",
     "ChernSymbol", "FMExpr", "Insertion", "TnTerm", "dilaton_step",
     "reduce_pure_tilde", "string_step", "tn_eval", "tn_integral",

@@ -5,7 +5,9 @@ dt-check, verify.  Output is a human table by default or machine JSON with
 ``--format json``; JSON keys appear in a fixed order and all rationals are
 rendered as exact strings, so identical invocations produce byte-identical
 output.  Exit codes: 0 on success, 1 when ``verify`` finds a failing check,
-2 on flag or range errors.
+2 on flag or range errors, on an exactness or localization error, and when
+the output cannot be written; each exit 2 prints one ``error: ...`` line on
+stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .exact import LaurentPoly, QSeries
+from .exact import ExactError, LaurentPoly, QSeries
 from .fmcalc import tn_integral
 from .hilb import enumerate_partitions, hilb_integral
 from .ifun import nonpolar_ifunction
@@ -277,8 +279,11 @@ def run(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ExactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

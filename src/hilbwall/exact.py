@@ -1,19 +1,15 @@
 """Exact arithmetic kernels: rationals, sparse Laurent polynomials, and
-truncated formal series.
+truncated power series in q.
 
 Everything in this module is exact.  Rationals are ``fractions.Fraction``.
 A Laurent polynomial is a sparse map ``exponent -> Fraction`` together with
 a variable symbol (the symbols in use elsewhere are t, t1, t2, q, z, u and
 the fresh cross-check variable s); a bivariate polynomial in (t1, t2) is a
-map ``(e1, e2) -> Fraction`` with nonnegative exponents.  Two truncated
-series types sit on top:
-
-* :class:`EpsSeries` is a Laurent series in a bookkeeping variable eps with
-  Laurent-polynomial coefficients.  It carries a lower exponent bound and an
-  explicit truncation order; every binary operation records the pessimistic
-  truncation of its operands, so precision loss is always visible.
-* :class:`QSeries` is a power series in q known through an explicit order,
-  with Fraction or Laurent-polynomial coefficients.
+map ``(e1, e2) -> Fraction`` with nonnegative exponents, used by the
+rational-limit cross-check of the localization kernel.  :class:`QSeries` is
+a power series in q known through an explicit order, with Fraction or
+Laurent-polynomial coefficients; two series are equal only when their
+orders agree, and :meth:`QSeries.agrees_through` compares a common prefix.
 
 The zero polynomial has an empty term map; constructors prune zero
 coefficients.  Canonical rendering sorts terms by ascending exponent and
@@ -197,6 +193,9 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals the same int or Fraction, so it hashes like one
+        if self.is_constant():
+            return hash(self.constant_term())
         return hash(frozenset(self.terms.items()))
 
     def __str__(self):
@@ -318,23 +317,6 @@ class BivarPoly:
         """Exchange t1 and t2."""
         return BivarPoly({(e2, e1): c for (e1, e2), c in self.terms.items()})
 
-    def diagonal_eps(self, eps_on_second: bool = True, var: str = "t") -> "EpsSeries":
-        """Exact expansion under t1 = t, t2 = t + eps (or eps on t1 instead).
-
-        Returns an EpsSeries with no truncation: the input is a polynomial,
-        so every eps coefficient is known.
-        """
-        coeffs: dict[int, dict[int, Fraction]] = {}
-        for (e1, e2), c in self.terms.items():
-            base, expanded = (e1, e2) if eps_on_second else (e2, e1)
-            for j in range(expanded + 1):
-                tpow = base + expanded - j
-                cj = c * comb(expanded, j)
-                coeffs.setdefault(j, {})
-                coeffs[j][tpow] = coeffs[j].get(tpow, Fraction(0)) + cj
-        polys = {j: LaurentPoly(var, m) for j, m in coeffs.items()}
-        return EpsSeries(polys, min_exp=0, trunc_order=None, var=var)
-
     def expand_near_diagonal(self, var: str = "t") -> dict[int, LaurentPoly]:
         """Expand P(t1, t2) with t2 = t1 - delta as {delta power: poly in t1}.
 
@@ -385,161 +367,13 @@ class BivarPoly:
         return f"BivarPoly({self.terms!r})"
 
 
-def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-class EpsSeries:
-    """Truncated Laurent series in eps with Laurent-polynomial coefficients.
-
-    ``coefficients`` maps the eps exponent to a Laurent polynomial in t.
-    ``min_exp`` is a declared lower bound on occurring exponents, and
-    ``trunc_order`` is the last exponent whose coefficient is known
-    (``None`` means the series is exact: all higher coefficients are zero).
-    Products take the pessimistic truncation ``min(a.trunc + b.min_exp,
-    b.trunc + a.min_exp)``, sums the plain minimum.
-    """
-
-    __slots__ = ("coefficients", "min_exp", "trunc_order", "var")
-
-    def __init__(self, coefficients: Mapping[int, LaurentPoly], min_exp: int = 0,
-                 trunc_order: Optional[int] = None, var: str = "t"):
-        clean = {int(j): c for j, c in coefficients.items() if not c.is_zero()}
-        if clean:
-            lowest = min(clean)
-            if lowest < min_exp:
-                min_exp = lowest
-        if trunc_order is not None:
-            if any(j > trunc_order for j in clean):
-                raise ExactError("coefficient beyond declared truncation")
-            if min_exp > trunc_order:
-                raise ExactError("min_exp exceeds trunc_order")
-        self.coefficients = clean
-        self.min_exp = min_exp
-        self.trunc_order = trunc_order
-        self.var = var
-
-    @classmethod
-    def zero(cls, var: str = "t") -> "EpsSeries":
-        return cls({}, min_exp=0, trunc_order=None, var=var)
-
-    def coefficient(self, j: int) -> LaurentPoly:
-        """The coefficient of eps^j; raises if j lies beyond the truncation."""
-        if self.trunc_order is not None and j > self.trunc_order:
-            raise ExactError(f"eps^{j} is beyond the truncation order")
-        return self.coefficients.get(j, LaurentPoly.zero(self.var))
-
-    def __add__(self, other):
-        if not isinstance(other, EpsSeries):
-            return NotImplemented
-        trunc = _min_trunc(self.trunc_order, other.trunc_order)
-        out = dict(self.coefficients)
-        for j, c in other.coefficients.items():
-            cur = out.get(j)
-            out[j] = c if cur is None else cur + c
-        if trunc is not None:
-            out = {j: c for j, c in out.items() if j <= trunc}
-        return EpsSeries(out, min_exp=min(self.min_exp, other.min_exp),
-                         trunc_order=trunc, var=self.var)
-
-    def __neg__(self):
-        return EpsSeries({j: -c for j, c in self.coefficients.items()},
-                         min_exp=self.min_exp, trunc_order=self.trunc_order,
-                         var=self.var)
-
-    def __sub__(self, other):
-        if not isinstance(other, EpsSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, EpsSeries):
-            return NotImplemented
-        candidates = []
-        if self.trunc_order is not None:
-            candidates.append(self.trunc_order + other.min_exp)
-        if other.trunc_order is not None:
-            candidates.append(other.trunc_order + self.min_exp)
-        trunc = min(candidates) if candidates else None
-        out: dict[int, LaurentPoly] = {}
-        for j1, c1 in self.coefficients.items():
-            for j2, c2 in other.coefficients.items():
-                j = j1 + j2
-                if trunc is not None and j > trunc:
-                    continue
-                prod = c1 * c2
-                cur = out.get(j)
-                out[j] = prod if cur is None else cur + prod
-        return EpsSeries(out, min_exp=self.min_exp + other.min_exp,
-                         trunc_order=trunc, var=self.var)
-
-    def __eq__(self, other):
-        if not isinstance(other, EpsSeries):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(frozenset((j, c) for j, c in self.coefficients.items()))
-
-    def __str__(self):
-        if not self.coefficients:
-            return "0"
-        pieces = []
-        for j in sorted(self.coefficients):
-            c = self.coefficients[j]
-            body = f"({c})"
-            if j == 0:
-                pieces.append(body)
-            elif j == 1:
-                pieces.append(f"{body}*eps")
-            else:
-                pieces.append(f"{body}*eps^{j}")
-        tail = "" if self.trunc_order is None else f" + O(eps^{self.trunc_order + 1})"
-        return " + ".join(pieces) + tail
-
-    def __repr__(self):
-        return (f"EpsSeries({self.coefficients!r}, min_exp={self.min_exp}, "
-                f"trunc_order={self.trunc_order})")
-
-
-def eps_invert(c0: LaurentPoly, c1: Scalar, budget: int) -> EpsSeries:
-    """Invert the linear factor c0 + c1*eps as an EpsSeries.
-
-    For c0 a nonzero Laurent monomial the result is the geometric expansion
-    (1/c0) * sum_j (-c1*eps/c0)^j, truncated at ``budget``.  For c0 = 0 the
-    factor is exactly c1*eps, and the inverse is the exact monomial
-    eps^(-1)/c1.
-    """
-    if budget < 0:
-        raise ExactError("eps budget must be nonnegative")
-    c1 = _frac(c1)
-    if c0.is_zero():
-        if c1 == 0:
-            raise ExactError("cannot invert the zero factor")
-        return EpsSeries({-1: LaurentPoly.constant(1 / c1, c0.var)},
-                         min_exp=-1, trunc_order=None, var=c0.var)
-    if not c0.is_monomial():
-        raise ExactError("eps_invert requires a monomial eps^0 part")
-    (e, c), = c0.terms.items()
-    coeffs: dict[int, LaurentPoly] = {}
-    for j in range(budget + 1):
-        coeff = (-c1) ** j / c ** (j + 1)
-        if coeff != 0:
-            coeffs[j] = LaurentPoly.monomial(c0.var, -e * (j + 1), coeff)
-    return EpsSeries(coeffs, min_exp=0, trunc_order=budget, var=c0.var)
-
-
 class QSeries:
     """Power series in q truncated at a known order.
 
     Coefficients live in any exact ring with +, * and scalar division
     (Fractions or Laurent polynomials in t here).  The order of a binary
-    result is the minimum of the operand orders, and equality is compared
-    only through the common order.
+    result is the minimum of the operand orders.  Equality requires equal
+    orders; :meth:`agrees_through` compares a prefix explicitly.
     """
 
     __slots__ = ("coeffs",)
@@ -610,8 +444,14 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        m = min(self.order, other.order)
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(m + 1))
+        return self.coeffs == other.coeffs
+
+    def agrees_through(self, other: "QSeries", order: int) -> bool:
+        """Whether the coefficients of q^0 .. q^order agree; both series
+        must be known through ``order``."""
+        if order > min(self.order, other.order):
+            raise ExactError(f"q^{order} is beyond the truncation order")
+        return self.coeffs[: order + 1] == other.coeffs[: order + 1]
 
     def __str__(self):
         return "; ".join(f"q^{n}: {c}" for n, c in enumerate(self.coeffs))

@@ -16,11 +16,17 @@ suite: the empty bracket equals 1/(n! t^(2n)), the ch_1 bracket vanishes,
 and the ch_2 .. ch_6 brackets match their closed forms.
 
 The diagonal one-parameter torus is reached without any rational-function
-arithmetic: substitute t1 = t, t2 = t + eps, invert each tangent factor as
-an EpsSeries (a factor whose diagonal part vanishes contributes an exact
-eps^(-1) pole), and read off the eps^0 coefficient of the sum over all
-partitions.  The sum is regular at eps = 0; surviving negative powers
-signal a convention bug and raise :class:`LocalizationError`.
+arithmetic.  Substitute t1 = t, t2 = t + eps; every bracket is a single
+monomial C * t^(K - 2n), K the total ch degree, so t = 1 loses nothing and
+the kernel works with integer eps-series only.  At a fixed point with P
+pole factors (tangent weights whose diagonal part a + b vanishes) the Euler
+class is eps^P times the product of the pole slopes times the non-pole
+factors (a+b) + s*eps; the numerator prod k_i! ch_{k_i} is the box sum of
+(-(c+r) - s*eps)^k, multiplied out.  Both are known through eps^P, and one
+power-series division, the only rational step, gives the contribution to
+eps^-P .. eps^0.  The sum over all partitions is regular at eps = 0;
+surviving negative powers signal a convention bug and raise
+:class:`LocalizationError`.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Union
 
-from .exact import BivarPoly, EpsSeries, ExactError, LaurentPoly, eps_invert
+from .exact import BivarPoly, ExactError, LaurentPoly
 
 
 class LocalizationError(ExactError):
@@ -200,25 +206,49 @@ def _pole_count(data: FixedPointData) -> int:
 
 
 @lru_cache(maxsize=None)
-def _inverse_euler_eps(parts: tuple[int, ...], eps_on_second: bool) -> EpsSeries:
-    """Product over tangent weights of 1/((a+b)t + c1*eps), c1 the eps slope."""
+def _euler_eps(parts: tuple[int, ...], eps_on_second: bool) -> tuple[tuple[int, ...], int]:
+    """Tangent Euler class at t = 1, split as eps^P * slopes * D(eps).
+
+    D is the product of the non-pole factors (a+b) + s*eps, known through
+    eps^P, where the eps slope s is b when eps rides on t2 and a otherwise; ``slopes`` is the product of the P pole
+    slopes.  Returns (D coefficients, slopes).
+    """
     data = _fixed_point_data(parts)
-    budget = _pole_count(data)
-    acc = EpsSeries({0: LaurentPoly.constant(1)}, min_exp=0, trunc_order=None)
+    length = _pole_count(data) + 1
+    den = [1] + [0] * (length - 1)
+    slopes = 1
     for (a, b) in data.tangent:
-        slope = b if eps_on_second else a
-        c0 = LaurentPoly.monomial("t", 1, a + b) if a + b != 0 else LaurentPoly.zero("t")
-        acc = acc * eps_invert(c0, slope, budget)
-    return acc
+        s = b if eps_on_second else a
+        w = a + b
+        if w == 0:
+            slopes *= s
+            continue
+        for j in range(length - 1, 0, -1):
+            den[j] = den[j] * w + den[j - 1] * s
+        den[0] *= w
+    return tuple(den), slopes
 
 
-def _contribution(lam: Partition, ks: tuple[int, ...], eps_on_second: bool) -> EpsSeries:
-    numerator = BivarPoly.constant(1)
-    for k in ks:
-        numerator = numerator * _ch_value(lam.parts, k)
-    if numerator.is_zero():
-        return EpsSeries.zero()
-    return numerator.diagonal_eps(eps_on_second) * _inverse_euler_eps(lam.parts, eps_on_second)
+@lru_cache(maxsize=None)
+def _ch_eps(parts: tuple[int, ...], k: int, eps_on_second: bool) -> tuple[int, ...]:
+    """k! * ch_k at t = 1: the box sum of (-(c+r) - s*eps)^k through eps^P."""
+    data = _fixed_point_data(parts)
+    poles = _pole_count(data)
+    out = [0] * (poles + 1)
+    for (c, r) in data.taut:
+        d = -(c + r)
+        s = -(r if eps_on_second else c)
+        for j in range(min(k, poles) + 1):
+            out[j] += comb(k, j) * d ** (k - j) * s ** j
+    return tuple(out)
+
+
+def _mul_trunc(a: list[int], b: tuple[int, ...]) -> list[int]:
+    """Product of two eps power series, truncated to the length of ``a``."""
+    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
+
+
+BRACKET_CACHE_SIZE = 256
 
 
 def hilb_integral(n: int, ks: Iterable[int] = (), *,
@@ -229,17 +259,44 @@ def hilb_integral(n: int, ks: Iterable[int] = (), *,
     The empty insertion list gives 1/(n! t^(2n)).  ``eps_on_second`` picks
     which full-torus variable carries the auxiliary eps; the result is
     independent of the choice (the fixed-point set is transpose symmetric).
+    The last BRACKET_CACHE_SIZE brackets are memoized, so callers share
+    the returned value (no LaurentPoly operation mutates its operands).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ks = normalize_insertions(ks)
-    total = EpsSeries.zero()
+    return _bracket(n, normalize_insertions(ks), bool(eps_on_second))
+
+
+@lru_cache(maxsize=BRACKET_CACHE_SIZE)
+def _bracket(n: int, ks: tuple[int, ...], eps_on_second: bool) -> LaurentPoly:
+    totals: list[Fraction] = []  # totals[m] is the coefficient of eps^-m
     for lam in enumerate_partitions(n):
-        total = total + _contribution(lam, ks, eps_on_second)
-    for j in range(total.min_exp, 0):
-        if not total.coefficient(j).is_zero():
-            raise LocalizationError("localization sum not regular on diagonal")
-    return total.coefficient(0)
+        den, slopes = _euler_eps(lam.parts, eps_on_second)
+        poles = len(den) - 1
+        num = [1] + [0] * poles
+        for k in ks:
+            num = _mul_trunc(num, _ch_eps(lam.parts, k, eps_on_second))
+        if not any(num):
+            continue
+        # N/D = sum_j r_j / d0^(j+1) * eps^j, with every r_j an integer
+        d0 = den[0]
+        r: list[int] = []
+        for j, nj in enumerate(num):
+            acc = nj * d0 ** j
+            for i in range(1, j + 1):
+                acc -= den[i] * r[j - i] * d0 ** (i - 1)
+            r.append(acc)
+        totals.extend(Fraction(0) for _ in range(poles + 1 - len(totals)))
+        for j, rj in enumerate(r):
+            if rj:
+                totals[poles - j] += Fraction(rj, slopes * d0 ** (j + 1))
+    if any(totals[1:]):
+        raise LocalizationError("localization sum not regular on diagonal")
+    scale = 1
+    for k in ks:
+        scale *= factorial(k)
+    value = totals[0] / scale if totals else 0
+    return LaurentPoly("t", {sum(ks) - 2 * n: value})
 
 
 def hilb_integral_via_limit(n: int, ks: Iterable[int] = (), *,

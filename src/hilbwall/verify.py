@@ -94,29 +94,29 @@ def golden_ch_series(k: int, order: int) -> QSeries:
 
 
 def check_normalization() -> tuple[bool, str]:
-    for n in range(1, 11):
+    for n in range(1, 17):
         expected = _mono(-2 * n, Fraction(1, factorial(n)))
         if hilb_integral(n) != expected:
             return False, f"empty bracket mismatch at n={n}"
-    return True, "<1>_n = 1/(n! t^2n) for n = 1..10"
+    return True, "<1>_n = 1/(n! t^2n) for n = 1..16"
 
 
 def check_ch1_vanishing() -> tuple[bool, str]:
-    for n in range(1, 11):
+    for n in range(1, 17):
         if not hilb_integral(n, [1]).is_zero():
             return False, f"<ch_1>_{n} is nonzero"
-    return True, "<ch_1>_n = 0 for n = 1..10"
+    return True, "<ch_1>_n = 0 for n = 1..16"
 
 
 def check_closed_forms() -> tuple[bool, str]:
-    for n in range(2, 11):
+    for n in range(2, 17):
         ch2 = _mono(-2 * (n - 1), Fraction(-1, 4 * factorial(n - 2)))
         ch3 = _mono(-(2 * n - 3), Fraction(1, 6 * factorial(n - 2)))
         if hilb_integral(n, [2]) != ch2:
             return False, f"<ch_2>_{n} mismatch"
         if hilb_integral(n, [3]) != ch3:
             return False, f"<ch_3>_{n} mismatch"
-    return True, "<ch_2>_n and <ch_3>_n closed forms for n = 2..10"
+    return True, "<ch_2>_n and <ch_3>_n closed forms for n = 2..16"
 
 
 def check_ch_series_golden() -> tuple[bool, str]:

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from hilbwall.cli import run
+from hilbwall.exact import ExactError
+from hilbwall.hilb import LocalizationError
 
 
 def invoke(capsys, *argv):
@@ -138,3 +142,24 @@ def test_verify_cli_json_shape(monkeypatch, capsys):
     assert doc["result"]["passed"] is True
     assert doc["result"]["checks"] == [
         {"name": "alpha", "passed": True, "detail": "fine"}]
+
+
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "out.json"
+    code, out, err = invoke(capsys, "hilb-integral", "--n", "3", "--ch", "2",
+                            "--format", "json", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not target.exists()
+
+
+@pytest.mark.parametrize("error", [ExactError, LocalizationError])
+def test_domain_error_exits_2_with_one_line(monkeypatch, capsys, error):
+    from hilbwall import cli as climod
+
+    def broken(n, ks):
+        raise error("localization sum not regular on diagonal")
+    monkeypatch.setattr(climod, "hilb_integral", broken)
+    code, out, err = invoke(capsys, "hilb-integral", "--n", "3", "--format", "json")
+    assert code == 2 and out == ""
+    assert err == "error: localization sum not regular on diagonal\n"

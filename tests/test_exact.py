@@ -2,10 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from hilbwall.exact import (EpsSeries, ExactError, LaurentPoly, QSeries,
-                            eps_invert, euler_inverse_series, lp_arith,
-                            macmahon_series, qs_compose, qs_exp, qs_log,
-                            qs_pow_int, rat_arith)
+from hilbwall.exact import (ExactError, LaurentPoly, QSeries,
+                            euler_inverse_series, lp_arith, macmahon_series,
+                            qs_compose, qs_exp, qs_log, qs_pow_int, rat_arith)
 
 
 def lp(terms, var="t"):
@@ -61,60 +60,24 @@ def test_lp_rendering_is_canonical():
     assert str(lp({1: 1})) == "1*t"
 
 
+def test_lp_constant_hash_matches_scalar():
+    # equal values must hash alike, or dict and set lookups miss
+    assert hash(LaurentPoly.constant(3)) == hash(3) == hash(F(3))
+    assert hash(LaurentPoly.constant(F(1, 2), "q")) == hash(F(1, 2))
+    assert hash(LaurentPoly.zero()) == hash(0)
+    table = {LaurentPoly.constant(3): "three", F(1, 2): "half"}
+    assert table[3] == "three" and table[F(3)] == "three"
+    assert table[LaurentPoly.constant(F(1, 2))] == "half"
+    assert LaurentPoly.zero("q") in {0}
+    assert {LaurentPoly.constant(3), 3, F(3)} == {3}
+    assert lp({1: 2}) in {lp({1: 2})}
+
+
 def test_lp_div_monomial():
     p = lp({2: 1, 4: 3})
     assert p.div_monomial(lp({2: F(1, 2)})) == lp({0: 2, 2: 6})
     with pytest.raises(ExactError):
         p.div_monomial(p)
-
-
-# --- eps series --------------------------------------------------------------
-
-def test_eps_invert_regular_constant_slope_zero():
-    s = eps_invert(lp({1: 2}), 0, budget=2)
-    assert s.coefficient(0) == lp({-1: F(1, 2)})
-    assert s.coefficient(1).is_zero()
-    assert s.coefficient(2).is_zero()
-
-
-def test_eps_invert_pure_pole():
-    s = eps_invert(lp({}), 1, budget=2)
-    assert s.min_exp == -1
-    assert s.coefficient(-1) == lp({0: 1})
-    assert s.trunc_order is None
-
-
-def test_eps_invert_geometric():
-    s = eps_invert(lp({1: 1}), 1, budget=1)
-    assert s.coefficient(0) == lp({-1: 1})
-    assert s.coefficient(1) == lp({-2: -1})
-
-
-def test_eps_invert_times_input_is_one():
-    # multiply back by the factor and check 1 + O(eps^(budget+1))
-    for c0, c1, budget in [(lp({1: 1}), 1, 1), (lp({1: 3}), -2, 4),
-                           (lp({-2: F(2, 7)}), F(5, 3), 3)]:
-        inv = eps_invert(c0, c1, budget)
-        factor = EpsSeries({0: c0, 1: LaurentPoly.constant(c1)})
-        prod = factor * inv
-        assert prod.coefficient(0) == lp({0: 1})
-        for j in range(1, prod.trunc_order + 1):
-            assert prod.coefficient(j).is_zero()
-
-
-def test_eps_invert_zero_input_rejected():
-    with pytest.raises(ExactError):
-        eps_invert(lp({}), 0, budget=1)
-
-
-def test_eps_truncation_is_pessimistic():
-    a = eps_invert(lp({1: 1}), 1, budget=3)          # known through eps^3
-    pole = eps_invert(lp({}), 1, budget=3)           # exact eps^-1
-    prod = a * pole
-    assert prod.trunc_order == 2
-    assert prod.min_exp == -1
-    with pytest.raises(ExactError):
-        prod.coefficient(3)
 
 
 # --- q series ----------------------------------------------------------------
@@ -150,8 +113,21 @@ def test_qs_preconditions():
 
 
 def test_qs_equality_up_to_common_order():
-    assert QSeries.from_terms(3, {1: 2}) == QSeries.from_terms(7, {1: 2})
-    assert QSeries.from_terms(3, {1: 2}) != QSeries.from_terms(7, {1: 3})
+    short, long = QSeries.from_terms(3, {1: 2}), QSeries.from_terms(7, {1: 2})
+    assert short.agrees_through(long, 3) and long.agrees_through(short, 3)
+    assert short.agrees_through(QSeries.from_terms(7, {1: 2, 5: 1}), 3)
+    assert not short.agrees_through(QSeries.from_terms(7, {1: 3}), 3)
+    assert long.agrees_through(QSeries.from_terms(7, {1: 2, 5: 1}), 4)
+    with pytest.raises(ExactError):
+        short.agrees_through(long, 4)
+
+
+def test_qs_equality_requires_equal_order():
+    # a truncated series is not equal to a longer one, even on agreement
+    assert QSeries([1]) != QSeries([1, 5])
+    assert QSeries.from_terms(3, {1: 2}) != QSeries.from_terms(7, {1: 2})
+    assert QSeries.from_terms(3, {1: 2}) == QSeries.from_terms(3, {1: 2})
+    assert QSeries.from_terms(3, {1: 2}) != QSeries.from_terms(3, {1: 3})
 
 
 # --- partition and plane-partition counting oracles --------------------------

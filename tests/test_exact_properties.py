@@ -1,9 +1,8 @@
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from hilbwall.exact import (EpsSeries, LaurentPoly, QSeries, eps_invert,
-                            qs_exp, qs_log, qs_pow_int)
+from hilbwall.exact import LaurentPoly, QSeries, qs_exp, qs_log, qs_pow_int
 
 fractions = st.builds(F, st.integers(-40, 40), st.integers(1, 8))
 laurents = st.dictionaries(st.integers(-5, 5), fractions, max_size=5).map(
@@ -40,16 +39,3 @@ def test_qs_exp_log_roundtrip(s):
 def test_qs_pow_additivity(s, a, b):
     unit = QSeries([F(1)] + s.coeffs[1:])  # invertible constant term
     assert qs_pow_int(unit, a + b) == qs_pow_int(unit, a) * qs_pow_int(unit, b)
-
-
-@given(st.integers(-6, 6).filter(lambda x: x != 0), st.integers(-3, 3),
-       fractions, st.integers(0, 4))
-@settings(max_examples=60)
-def test_eps_invert_multiplies_back_to_one(c, e, slope, budget):
-    c0 = LaurentPoly.monomial("t", e, c)
-    inv = eps_invert(c0, slope, budget)
-    factor = EpsSeries({0: c0, 1: LaurentPoly.constant(slope)})
-    prod = factor * inv
-    assert prod.coefficient(0) == LaurentPoly.constant(1)
-    for j in range(1, budget + 1):
-        assert prod.coefficient(j).is_zero()

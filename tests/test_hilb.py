@@ -4,11 +4,14 @@ from math import factorial
 
 import pytest
 
+from hilbwall import hilb
 from hilbwall.exact import BivarPoly, LaurentPoly
-from hilbwall.hilb import (Partition, arm_leg, ch_value, enumerate_partitions,
-                           fixed_point_data, hilb_integral,
-                           hilb_integral_via_limit, tangent_weights,
-                           taut_weights)
+from hilbwall.hilb import (LocalizationError, Partition, arm_leg, ch_value,
+                           enumerate_partitions, fixed_point_data,
+                           hilb_integral, hilb_integral_via_limit,
+                           tangent_weights, taut_weights)
+from hilbwall.ifun import nonpolar_ifunction
+from hilbwall.verify import _sum_bounded_partitions
 
 
 def mono(exp, coeff):
@@ -162,6 +165,35 @@ def test_diagonal_sum_independent_of_eps_side():
 def test_agrees_with_rational_limit_oracle():
     for n, ks in [(1, []), (2, [2]), (3, []), (3, [4]), (4, [2, 2]), (4, [3])]:
         assert hilb_integral_via_limit(n, ks) == hilb_integral(n, ks)
+
+
+def test_limit_oracle_on_every_small_bracket():
+    brackets = [(n, ks) for n in range(1, 5) for ks in _sum_bounded_partitions(6)]
+    assert len(brackets) == 120
+    for n, ks in brackets:
+        assert hilb_integral(n, ks) == hilb_integral_via_limit(n, ks), (n, ks)
+
+
+def test_regularity_check_fires_on_a_missing_fixed_point(monkeypatch):
+    # without the fixed point (3,1) the eps poles of the others do not cancel
+    full = enumerate_partitions
+    monkeypatch.setattr(hilb, "enumerate_partitions",
+                        lambda n: [lam for lam in full(n) if lam.parts != (3, 1)])
+    hilb._bracket.cache_clear()
+    with pytest.raises(LocalizationError):
+        hilb_integral(4)
+    with pytest.raises(LocalizationError):
+        hilb_integral(4, [2], eps_on_second=False)
+
+
+def test_bracket_memo_runs_the_kernel_once():
+    hilb._bracket.cache_clear()
+    nonpolar_ifunction(5, [4, 2])
+    value = hilb_integral(5, [2, 4])
+    info = hilb._bracket.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert info.maxsize == hilb.BRACKET_CACHE_SIZE
+    assert value == hilb_integral_via_limit(5, [2, 4])
 
 
 def test_multi_insertion_values_against_limit_oracle():
