@@ -10,33 +10,31 @@ the conventions in force.
 __version__ = "0.1.0"
 
 from .exact import (BivarPoly, ExactError, LaurentPoly, QSeries,
-                    euler_inverse_series, lp_arith, macmahon_series,
-                    qs_compose, qs_exp, qs_log, qs_pow_int, rat_arith)
-from .fmcalc import (ChernSymbol, FMExpr, Insertion, TnTerm, dilaton_step,
-                     reduce_pure_tilde, string_step, tn_eval, tn_integral)
+                    euler_inverse_series, macmahon_series, qs_compose, qs_exp,
+                    qs_log, qs_pow_int)
+from .fmcalc import (FMExpr, Insertion, dilaton_step, reduce_pure_tilde,
+                     string_step, tn_integral)
 from .hilb import (FixedPointData, LocalizationError, Partition, arm_leg,
                    ch_value, enumerate_partitions, fixed_point_data,
                    hilb_integral, hilb_integral_via_limit, tangent_weights,
                    taut_weights)
-from .ifun import (StratumRestriction, UMonomial, nonpolar_ifunction,
-                   restrict_ifunction, shift_consistency)
-from .wallx import (FullCrossingTerm, WallSpec, WallTerm, ch_series,
-                    dt_identity_check, euler_series_closed, euler_series_wc,
-                    expand_full_crossing, expand_wall_terms)
+from .ifun import UMonomial, nonpolar_ifunction
+from .wallx import (FullCrossingTerm, WallTerm, ch_series, dt_identity_check,
+                    euler_series_closed, euler_series_wc, expand_full_crossing,
+                    expand_wall_terms)
 
 __all__ = [
     "__version__",
     "BivarPoly", "ExactError", "LaurentPoly", "QSeries",
-    "euler_inverse_series", "lp_arith", "macmahon_series",
-    "qs_compose", "qs_exp", "qs_log", "qs_pow_int", "rat_arith",
-    "ChernSymbol", "FMExpr", "Insertion", "TnTerm", "dilaton_step",
-    "reduce_pure_tilde", "string_step", "tn_eval", "tn_integral",
+    "euler_inverse_series", "macmahon_series",
+    "qs_compose", "qs_exp", "qs_log", "qs_pow_int",
+    "FMExpr", "Insertion", "dilaton_step", "reduce_pure_tilde",
+    "string_step", "tn_integral",
     "FixedPointData", "LocalizationError", "Partition", "arm_leg",
     "ch_value", "enumerate_partitions", "fixed_point_data", "hilb_integral",
     "hilb_integral_via_limit", "tangent_weights", "taut_weights",
-    "StratumRestriction", "UMonomial", "nonpolar_ifunction",
-    "restrict_ifunction", "shift_consistency",
-    "FullCrossingTerm", "WallSpec", "WallTerm", "ch_series",
+    "UMonomial", "nonpolar_ifunction",
+    "FullCrossingTerm", "WallTerm", "ch_series",
     "dt_identity_check", "euler_series_closed", "euler_series_wc",
     "expand_full_crossing", "expand_wall_terms",
 ]

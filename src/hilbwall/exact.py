@@ -3,8 +3,9 @@ truncated power series in q.
 
 Everything in this module is exact.  Rationals are ``fractions.Fraction``.
 A Laurent polynomial is a sparse map ``exponent -> Fraction`` together with
-a variable symbol (the symbols in use elsewhere are t, t1, t2, q, z, u and
-the fresh cross-check variable s); a bivariate polynomial in (t1, t2) is a
+a variable symbol (t for brackets, u = t + z for one-end contributions,
+and c1, c2, c3 for polynomials in the formal top Chern class c_d of the
+Fulton-MacPherson calculus); a bivariate polynomial in (t1, t2) is a
 map ``(e1, e2) -> Fraction`` with nonnegative exponents, used by the
 rational-limit cross-check of the localization kernel.  :class:`QSeries` is
 a power series in q known through an explicit order, with Fraction or
@@ -38,29 +39,15 @@ def _frac(x: Scalar) -> Fraction:
     raise ExactError(f"not an exact scalar: {x!r}")
 
 
-def rat_arith(a: Scalar, b: Scalar, op: str) -> Fraction:
-    """Apply one of '+', '-', '*', '/' to two exact rationals."""
-    a, b = _frac(a), _frac(b)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise ExactError("rational division by zero")
-        return a / b
-    raise ExactError(f"unknown rational operation {op!r}")
-
-
 class LaurentPoly:
     """Sparse Laurent polynomial in a single variable, exact coefficients.
 
     Term maps never contain zero coefficients.  Two values compare equal
-    exactly when their term maps are equal (a constant is equal to the same
-    constant in any variable); binary operations require matching variables
-    unless one operand is a constant or a plain scalar.
+    when their term maps are equal and, unless both are constant, their
+    variables are equal too: a constant carries no variable, so it equals
+    the same constant in any variable and the same int or Fraction.  Binary
+    operations require matching variables unless one operand is a constant
+    or a plain scalar.
     """
 
     __slots__ = ("var", "terms")
@@ -182,21 +169,25 @@ class LaurentPoly:
         (e, c), = other.terms.items()
         return LaurentPoly(self.var, {e1 - e: c1 / c for e1, c1 in self.terms.items()})
 
-    def rename(self, var: str) -> "LaurentPoly":
-        return LaurentPoly(var, self.terms)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(other, self.var)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.terms == other.terms
+        if self.terms != other.terms:
+            return False
+        return self.var == other.var or self.is_constant()
 
     def __hash__(self):
         # a constant equals the same int or Fraction, so it hashes like one
         if self.is_constant():
             return hash(self.constant_term())
-        return hash(frozenset(self.terms.items()))
+        return hash((self.var, frozenset(self.terms.items())))
+
+    def evaluate(self, value: Scalar) -> Fraction:
+        """The value at a rational point of the variable."""
+        value = _frac(value)
+        return sum((c * value ** e for e, c in self.terms.items()), Fraction(0))
 
     def __str__(self):
         if not self.terms:
@@ -220,17 +211,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.var!r}, {self.terms!r})"
-
-
-def lp_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    """Apply one of '+', '-', '*' to two Laurent polynomials."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    raise ExactError(f"unknown Laurent operation {op!r}")
 
 
 class BivarPoly:
@@ -313,12 +293,8 @@ class BivarPoly:
             result = result * self
         return result
 
-    def swap(self) -> "BivarPoly":
-        """Exchange t1 and t2."""
-        return BivarPoly({(e2, e1): c for (e1, e2), c in self.terms.items()})
-
-    def expand_near_diagonal(self, var: str = "t") -> dict[int, LaurentPoly]:
-        """Expand P(t1, t2) with t2 = t1 - delta as {delta power: poly in t1}.
+    def expand_near_diagonal(self) -> dict[int, LaurentPoly]:
+        """Expand P(t1, t2) with t2 = t1 - delta as {delta power: poly in t = t1}.
 
         Zero coefficients are dropped; the empty dict is the zero polynomial.
         """
@@ -331,7 +307,7 @@ class BivarPoly:
                 coeffs[j][tpow] = coeffs[j].get(tpow, Fraction(0)) + cj
         out = {}
         for j, m in coeffs.items():
-            poly = LaurentPoly(var, m)
+            poly = LaurentPoly("t", m)
             if not poly.is_zero():
                 out[j] = poly
         return out

@@ -11,11 +11,15 @@ whenever a + b = 2N - 3 (the dimension of T_N), and zero otherwise.
 Squares of psi classes are removed pairwise down to the two base values
 int_{T_2} psi1 = -1 and int_{T_2} psi_inf = 1; removing psi1^2 flips the
 sign while removing psi_inf^2 does not, which is exactly the Pascal-style
-recursion tested in the verification suite.
+recursion tested in the verification suite.  The one-end contributions
+reach these integrals through the substitution u -> -psi1, which
+:func:`hilbwall.wallx.ch_series` applies where it sums over the T_N.
 
 Second, a rewrite system for brackets of psi and psi-tilde insertions on
 the full Fulton-MacPherson space of a d-dimensional variety, with the top
-Chern class of the variety kept as the formal symbol c_d:
+Chern class of the variety kept as the formal symbol c_d.  Values are
+:class:`~hilbwall.exact.LaurentPoly` polynomials in the variable ``c{d}``
+(c1, c2 or c3), so polynomials of different dimensions never mix:
 
 * dilaton step: a trailing bare psi-tilde insertion comes off as the
   factor (-1)^d * (c_d - n), n the number of remaining insertions;
@@ -30,22 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
-from typing import Iterable, Mapping, Optional
 
-from .exact import ExactError, LaurentPoly, Scalar, _frac
-
-
-@dataclass(frozen=True)
-class TnTerm:
-    """One integrand term coeff * psi1^a * psi_inf^b on a tree locus."""
-
-    coeff: LaurentPoly
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("psi powers must be nonnegative")
+from .exact import ExactError, LaurentPoly
 
 
 def tn_integral(n: int, a: int, b: int) -> Fraction:
@@ -57,128 +47,6 @@ def tn_integral(n: int, a: int, b: int) -> Fraction:
     if a + b != 2 * n - 3:
         return Fraction(0)
     return Fraction((-1) ** ceil(a / 2) * comb(n - 2, a // 2))
-
-
-def tn_eval(n: int, terms: Iterable[TnTerm]) -> LaurentPoly:
-    """Linear extension of tn_integral over a polynomial integrand."""
-    total = LaurentPoly.zero("t")
-    for term in terms:
-        value = tn_integral(n, term.a, term.b)
-        if value != 0:
-            total = total + term.coeff * value
-    return total
-
-
-class ChernSymbol:
-    """Exact polynomial in the formal top Chern class c_d of a d-fold."""
-
-    __slots__ = ("dim", "coeffs")
-
-    def __init__(self, dim: int, coeffs: Optional[Mapping[int, Scalar]] = None):
-        if dim not in (1, 2, 3):
-            raise ValueError("dimension must be 1, 2 or 3")
-        self.dim = dim
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if e < 0:
-                    raise ValueError("powers of c_d must be nonnegative")
-                c = _frac(c)
-                if c != 0:
-                    clean[int(e)] = c
-        self.coeffs = clean
-
-    @classmethod
-    def one(cls, dim: int) -> "ChernSymbol":
-        return cls(dim, {0: 1})
-
-    @classmethod
-    def variable(cls, dim: int) -> "ChernSymbol":
-        """The symbol c_d itself."""
-        return cls(dim, {1: 1})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _coerce(self, other) -> "ChernSymbol":
-        if isinstance(other, ChernSymbol):
-            if other.dim != self.dim:
-                raise ExactError("mixed Chern symbols of different dimension")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ChernSymbol(self.dim, {0: other})
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return ChernSymbol(self.dim, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ChernSymbol(self.dim, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
-        return ChernSymbol(self.dim, out)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, value: Scalar) -> Fraction:
-        """Evaluate at a concrete rational value of c_d."""
-        value = _frac(value)
-        return sum((c * value ** e for e, c in self.coeffs.items()), Fraction(0))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ChernSymbol(self.dim, {0: other})
-        if not isinstance(other, ChernSymbol):
-            return NotImplemented
-        return self.dim == other.dim and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.coeffs.items())))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        name = f"c{self.dim}"
-        pieces = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                pieces.append(str(c))
-            elif e == 1:
-                pieces.append(f"{c}*{name}")
-            else:
-                pieces.append(f"{c}*{name}^{e}")
-        text = pieces[0]
-        for p in pieces[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
-
-    def __repr__(self):
-        return f"ChernSymbol({self.dim}, {self.coeffs!r})"
 
 
 @dataclass(frozen=True)
@@ -227,7 +95,7 @@ class FMExpr:
         return f"<{inner}>_{self.bracket_size}"
 
 
-def dilaton_step(e: FMExpr) -> tuple[ChernSymbol, FMExpr]:
+def dilaton_step(e: FMExpr) -> tuple[LaurentPoly, FMExpr]:
     """Remove a trailing bare tilde insertion.
 
     The last insertion must be exactly (tilde, psi^0, tag 1); it comes off
@@ -240,7 +108,7 @@ def dilaton_step(e: FMExpr) -> tuple[ChernSymbol, FMExpr]:
         raise ExactError("dilaton not applicable: last insertion is not a bare tilde")
     n = e.bracket_size - 1
     sign = (-1) ** e.d
-    factor = ChernSymbol(e.d, {1: sign, 0: -sign * n})
+    factor = LaurentPoly(f"c{e.d}", {1: sign, 0: -sign * n})
     return factor, FMExpr(e.d, e.insertions[:-1])
 
 
@@ -266,13 +134,13 @@ def string_step(e: FMExpr) -> list[tuple[Fraction, FMExpr]]:
     return out
 
 
-def reduce_pure_tilde(k: int, d: int) -> ChernSymbol:
+def reduce_pure_tilde(k: int, d: int) -> LaurentPoly:
     """Value of the bracket of k bare tilde insertions, by repeated dilaton
     steps down to the empty bracket (which is 1)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     expr = FMExpr(d, (TILDE,) * k)
-    value = ChernSymbol.one(d)
+    value = LaurentPoly.constant(1, f"c{d}")
     while expr.bracket_size:
         factor, expr = dilaton_step(expr)
         value = value * factor

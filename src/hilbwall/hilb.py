@@ -299,8 +299,7 @@ def _bracket(n: int, ks: tuple[int, ...], eps_on_second: bool) -> LaurentPoly:
     return LaurentPoly("t", {sum(ks) - 2 * n: value})
 
 
-def hilb_integral_via_limit(n: int, ks: Iterable[int] = (), *,
-                            var: str = "t") -> LaurentPoly:
+def hilb_integral_via_limit(n: int, ks: Iterable[int] = ()) -> LaurentPoly:
     """Cross-check path for :func:`hilb_integral`, avoiding eps-series entirely.
 
     Collects the full-torus sum of ch-products over tangent Euler classes as
@@ -325,10 +324,10 @@ def hilb_integral_via_limit(n: int, ks: Iterable[int] = (), *,
             dl = dl * BivarPoly.linear(a, b)
         num = num * dl + nl * den
         den = den * dl
-    num_d = num.expand_near_diagonal(var)
-    den_d = den.expand_near_diagonal(var)
+    num_d = num.expand_near_diagonal()
+    den_d = den.expand_near_diagonal()
     v = min(den_d)
     if any(j < v for j in num_d):
         raise LocalizationError("localization sum not regular on diagonal")
-    lead_num = num_d.get(v, LaurentPoly.zero(var))
+    lead_num = num_d.get(v, LaurentPoly.zero())
     return lead_num.div_monomial(den_d[v])

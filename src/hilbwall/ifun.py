@@ -12,18 +12,18 @@ z-powers, so the nonpolar part is C * u^e when e >= 0 and zero otherwise.
 Restricting a nonpolar contribution to a torus-fixed stratum is a single
 substitution: on the one-point stratum (the plane itself, where the psi
 class vanishes) u goes to t; on the tree locus T_N the marking psi class
-enters through u -> -psi1.
+enters through u -> -psi1.  Both substitutions are made inline in
+:func:`hilbwall.wallx.ch_series`, where the stratum sums are assembled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .exact import LaurentPoly
-from .fmcalc import TnTerm
-from .hilb import hilb_integral, hilb_integral_via_limit, normalize_insertions
+from .hilb import hilb_integral, normalize_insertions
 
 
 @dataclass(frozen=True)
@@ -49,28 +49,6 @@ class UMonomial:
         return str(self.as_laurent())
 
 
-@dataclass(frozen=True)
-class StratumRestriction:
-    """A torus-fixed stratum: the one-point locus, or the tree locus T_N."""
-
-    kind: str  # "FM1" or "TN"
-    n: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("FM1", "TN"):
-            raise ValueError(f"unknown stratum kind {self.kind!r}")
-        if self.kind == "TN" and self.n < 2:
-            raise ValueError("the tree locus T_N needs N >= 2")
-
-    @classmethod
-    def fm1(cls) -> "StratumRestriction":
-        return cls("FM1", 1)
-
-    @classmethod
-    def tn(cls, n: int) -> "StratumRestriction":
-        return cls("TN", n)
-
-
 def nonpolar_ifunction(n: int, ks: Iterable[int] = ()) -> UMonomial:
     """Nonpolar part of I_n(z, prod ch_{k_i}) as a u-monomial.
 
@@ -90,35 +68,3 @@ def nonpolar_ifunction(n: int, ks: Iterable[int] = ()) -> UMonomial:
     if exp < 0:
         return UMonomial.zero()
     return UMonomial(bracket.coefficient(deg), exp)
-
-
-def restrict_ifunction(m: UMonomial, stratum: StratumRestriction
-                       ) -> Union[LaurentPoly, TnTerm]:
-    """Evaluate a nonpolar u-monomial on a fixed stratum.
-
-    On FM1 the psi class vanishes and u restricts to t, giving the Laurent
-    monomial C * t^exp.  On T_N, u restricts to -psi1, giving the integrand
-    term C * (-1)^exp * psi1^exp.
-    """
-    if stratum.kind == "FM1":
-        if m.is_zero():
-            return LaurentPoly.zero("t")
-        return LaurentPoly.monomial("t", m.exp, m.coeff)
-    coeff = m.coeff * (-1) ** m.exp
-    return TnTerm(LaurentPoly.constant(coeff), m.exp, 0)
-
-
-def shift_consistency(n: int, ks: Iterable[int] = ()) -> bool:
-    """Check that the diagonal specialization commutes with shifting the
-    torus variable: the full-torus sum evaluated at t1 = t2 = s equals the
-    eps-series result with t renamed to s.
-
-    Intended for small n; the cross-check path multiplies out a common
-    denominator over all partitions of n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ks = normalize_insertions(ks)
-    via_limit = hilb_integral_via_limit(n, ks, var="s")
-    direct = hilb_integral(n, ks).rename("s")
-    return via_limit == direct

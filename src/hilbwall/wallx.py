@@ -9,9 +9,11 @@ Three layers:
   positive blocks, each insertion assigned to one block.
 
 * The ch_k series pipeline.  Every nonpolar one-end contribution C * u^a
-  seeds one stratum sum: the one-point stratum divides by the normal
-  weight t^2 and contributes C * t^(a-2) * q^n; the tree locus T_N has
-  normal Euler class t^2 * (t - psi_inf), expanded as
+  seeds one stratum sum, and :func:`ch_series` restricts it to each fixed
+  stratum by substituting for u directly: on the one-point stratum u -> t,
+  divided by the normal weight t^2, contributes C * t^(a-2) * q^n; on the
+  tree locus T_N, u -> -psi1 and the normal Euler class
+  t^2 * (t - psi_inf) is expanded as
   1/(t^2 (t - psi_inf)) = sum_j psi_inf^j t^(-3-j), of which only
   j = 2N - 3 - a survives the dimension of T_N, contributing
 
@@ -41,18 +43,7 @@ from typing import Iterator
 from .exact import LaurentPoly, QSeries, qs_compose, qs_exp, qs_log, \
     qs_pow_int, euler_inverse_series, macmahon_series
 from .fmcalc import tn_integral
-from .ifun import StratumRestriction, nonpolar_ifunction, restrict_ifunction
-
-
-@dataclass(frozen=True)
-class WallSpec:
-    """The wall at stability 1/n0."""
-
-    n0: int
-
-    def __post_init__(self):
-        if self.n0 < 1:
-            raise ValueError("n0 must be >= 1")
+from .ifun import nonpolar_ifunction
 
 
 @dataclass(frozen=True)
@@ -86,15 +77,15 @@ class FullCrossingTerm:
         return Fraction(1, factorial(self.k))
 
 
-def expand_wall_terms(n: int, num_insertions: int, w: WallSpec) -> list[WallTerm]:
+def expand_wall_terms(n: int, num_insertions: int, n0: int) -> list[WallTerm]:
     """All terms of the wall-crossing at 1/n0 for a size-n bracket."""
-    if not 1 <= w.n0 <= n:
+    if not 1 <= n0 <= n:
         raise ValueError("the wall needs 1 <= n0 <= n")
     if num_insertions < 0:
         raise ValueError("num_insertions must be nonnegative")
     out: list[WallTerm] = []
-    for k in range(1, n // w.n0 + 1):
-        n_prime = n - k * w.n0
+    for k in range(1, n // n0 + 1):
+        n_prime = n - k * n0
         # slot 0 is the retained set N'; slots 1..k are the blocks
         for assignment in product(range(k + 1), repeat=num_insertions):
             retained = tuple(i for i, s in enumerate(assignment) if s == 0)
@@ -145,25 +136,22 @@ def ch_series(k: int, q_order: int) -> QSeries:
         seed = nonpolar_ifunction(n, (k,))
         if seed.is_zero():
             continue
-        a = seed.exp
-        # one-point stratum: divide by the normal weight t^2
+        c, a = seed.coeff, seed.exp
+        # one-point stratum: u -> t, divided by the normal weight t^2
         if n <= q_order:
-            point = restrict_ifunction(seed, StratumRestriction.fm1())
-            coeffs[n] = coeffs[n] + point.div_monomial(LaurentPoly.monomial("t", 2))
-        # tree loci: 1/(t^2 (t - psi_inf)) = sum_j psi_inf^j t^(-3-j),
-        # and only j = 2N - 3 - a meets the dimension of T_N
+            coeffs[n] = coeffs[n] + LaurentPoly.monomial("t", a - 2, c)
+        # tree loci: u -> -psi1, and 1/(t^2 (t - psi_inf)) = sum_j psi_inf^j
+        # t^(-3-j), of which only j = 2N - 3 - a meets the dimension of T_N
         for big_n in range(2, q_order - n + 2):
             j = 2 * big_n - 3 - a
             if j < 0:
                 continue
-            tree = restrict_ifunction(seed, StratumRestriction.tn(big_n))
-            weight = tn_integral(big_n, tree.a, j)
+            weight = tn_integral(big_n, a, j)
             if weight == 0:
                 continue
-            scale = Fraction(weight, factorial(big_n - 1))
-            piece = tree.coeff * LaurentPoly.monomial("t", -3 - j, scale)
+            scale = c * (-1) ** a * weight / factorial(big_n - 1)
             idx = n + big_n - 1
-            coeffs[idx] = coeffs[idx] + piece
+            coeffs[idx] = coeffs[idx] + LaurentPoly.monomial("t", -3 - j, scale)
     return QSeries(coeffs)
 
 

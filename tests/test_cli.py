@@ -63,6 +63,17 @@ def test_ch_series_json_schema(capsys):
     assert coeffs[3] == [{"coeff": "-1/4", "exp": -4}]
 
 
+def test_ch_series_table_odd_k(capsys):
+    # odd exponents carry the sign of u -> -psi1 into the tree-locus terms
+    code, out, err = invoke(capsys, "ch-series", "--k", "3", "--order", "4")
+    assert code == 0 and err == ""
+    assert out == ("q^0: 0\n"
+                   "q^1: 0\n"
+                   "q^2: 1/6*t^-1\n"
+                   "q^3: 1/6*t^-3\n"
+                   "q^4: 1/12*t^-5\n")
+
+
 def test_dt_check_output(capsys):
     code, out, _ = invoke(capsys, "dt-check", "--c", "2", "--order", "6")
     assert code == 0

@@ -3,40 +3,39 @@ from fractions import Fraction as F
 import pytest
 
 from hilbwall.exact import (ExactError, LaurentPoly, QSeries,
-                            euler_inverse_series, lp_arith, macmahon_series,
-                            qs_compose, qs_exp, qs_log, qs_pow_int, rat_arith)
+                            euler_inverse_series, macmahon_series, qs_compose,
+                            qs_exp, qs_log, qs_pow_int)
 
 
 def lp(terms, var="t"):
     return LaurentPoly(var, terms)
 
 
-# --- rationals ---------------------------------------------------------------
-
-def test_rat_arith_basic():
-    assert rat_arith(F(1, 2), F(1, 3), "+") == F(5, 6)
-    assert rat_arith(F(-1, 4), F(4, 1), "*") == F(-1)
-    assert rat_arith(F(7, 3), F(7, 3), "/") == F(1)
-    assert rat_arith(F(1, 2), F(1, 3), "-") == F(1, 6)
-
+# --- Laurent polynomials -----------------------------------------------------
 
 def test_rat_division_by_zero():
     with pytest.raises(ExactError):
-        rat_arith(F(1), F(0), "/")
+        lp({1: F(1, 2)}) / F(0)
 
 
-# --- Laurent polynomials -----------------------------------------------------
-
-def test_lp_arith_examples():
-    assert lp_arith(lp({-2: 1}), lp({3: 1}), "*") == lp({1: 1})
-    assert lp_arith(lp({1: 1}), lp({1: 1}), "-") == lp({})
+def test_lp_ring_examples():
+    assert lp({-2: 1}) * lp({3: 1}) == lp({1: 1})
+    assert lp({1: 1}) - lp({1: 1}) == lp({})
     one_plus_t = lp({0: 1, 1: 1})
-    assert lp_arith(one_plus_t, one_plus_t, "*") == lp({0: 1, 1: 2, 2: 1})
+    assert one_plus_t * one_plus_t == lp({0: 1, 1: 2, 2: 1})
 
 
 def test_lp_variable_mismatch():
     with pytest.raises(ExactError):
-        lp_arith(lp({1: 1}, "t"), lp({1: 1}, "q"), "+")
+        lp({1: 1}, "t") + lp({1: 1}, "q")
+
+
+def test_lp_equality_respects_the_variable():
+    assert lp({1: 1}, "t") != lp({1: 1}, "q")
+    assert len({lp({1: 1}, "t"), lp({1: 1}, "q")}) == 2
+    # constants carry no variable: equal across variables and to the scalar
+    assert lp({0: 3}, "t") == lp({0: 3}, "q") == 3
+    assert lp({}, "c2") == lp({}, "u") == 0
 
 
 def test_lp_constants_mix_across_variables():

@@ -4,13 +4,12 @@ from math import comb, factorial
 import pytest
 
 from hilbwall.exact import ExactError, LaurentPoly
-from hilbwall.fmcalc import (TILDE, TRIVIAL, ChernSymbol, FMExpr, Insertion,
-                             TnTerm, dilaton_step, reduce_pure_tilde,
-                             string_step, tn_eval, tn_integral)
+from hilbwall.fmcalc import (TILDE, TRIVIAL, FMExpr, Insertion, dilaton_step,
+                             reduce_pure_tilde, string_step, tn_integral)
 
 
 def c_(dim, coeffs):
-    return ChernSymbol(dim, coeffs)
+    return LaurentPoly(f"c{dim}", coeffs)
 
 
 # --- tree-locus integrals -------------------------------------------------------
@@ -24,6 +23,8 @@ def test_tn_integral_examples():
     assert tn_integral(3, 3, 0) == 1
     assert tn_integral(4, 2, 3) == -2
     assert tn_integral(3, 1, 1) == 0
+    assert tn_integral(3, 0, 3) == 1
+    assert tn_integral(5, 0, 0) == 0  # below the dimension 2N - 3 of T_5
 
 
 def test_tn_integral_degree_selection():
@@ -52,15 +53,6 @@ def test_tn_integral_validation():
         tn_integral(1, 0, 0)
     with pytest.raises(ValueError):
         tn_integral(3, -1, 4)
-
-
-def test_tn_eval_examples():
-    one = LaurentPoly.constant(1)
-    assert tn_eval(2, [TnTerm(one, 1, 0)]) == LaurentPoly.constant(-1)
-    terms = [TnTerm(LaurentPoly.monomial("t", -1), 0, 3),
-             TnTerm(LaurentPoly.constant(2), 3, 0)]
-    assert tn_eval(3, terms) == LaurentPoly("t", {-1: 1, 0: 2})
-    assert tn_eval(5, [TnTerm(one, 0, 0)]).is_zero()
 
 
 # --- dilaton and string rewrites -------------------------------------------------
@@ -144,3 +136,7 @@ def test_chern_symbol_arithmetic():
     with pytest.raises(ExactError):
         a * c_(3, {1: 1})
     assert str(c_(2, {2: 1, 0: -2})) == "-2 + 1*c2^2"
+    # c_d polynomials of different dimensions stay apart
+    c2, c3 = reduce_pure_tilde(1, 2), -reduce_pure_tilde(1, 3)
+    assert c2 == c_(2, {1: 1}) and c3 == c_(3, {1: 1})
+    assert c2 != c3 and len({c2, c3}) == 2

@@ -224,4 +224,5 @@ def test_insertions_are_a_multiset():
 def test_limit_oracle_at_n5():
     assert hilb_integral(5, [2, 2]) == hilb_integral_via_limit(5, [2, 2])
     assert hilb_integral(5, [6]) == hilb_integral_via_limit(5, [6])
+    assert hilb_integral(5, [4]) == hilb_integral_via_limit(5, [4])
     assert hilb_integral(5, [6]) == mono(-4, F(1, 120))

@@ -1,12 +1,9 @@
 from fractions import Fraction as F
 
-import pytest
-
 from hilbwall.exact import LaurentPoly
-from hilbwall.fmcalc import TnTerm
 from hilbwall.hilb import hilb_integral
-from hilbwall.ifun import (StratumRestriction, UMonomial, nonpolar_ifunction,
-                           restrict_ifunction, shift_consistency)
+from hilbwall.ifun import UMonomial, nonpolar_ifunction
+from hilbwall.wallx import ch_series
 
 
 def test_nonpolar_examples():
@@ -42,42 +39,32 @@ def _partitions_of(total, cap=None):
             yield (p,) + rest
 
 
+# ch_series restricts each seed C * u^a to the fixed strata; with a small
+# q-order one seed's restrictions can be read off one coefficient at a time
+
 def test_restriction_to_point_stratum():
-    assert restrict_ifunction(UMonomial(F(-1, 4), 0), StratumRestriction.fm1()) \
-        == LaurentPoly.constant(F(-1, 4), "t")
-    assert restrict_ifunction(UMonomial(F(-1, 16), 2), StratumRestriction.fm1()) \
-        == LaurentPoly.monomial("t", 2, F(-1, 16))
+    # u -> t, divided by the normal weight t^2, lands at q^n
+    assert nonpolar_ifunction(2, [2]) == UMonomial(F(-1, 4), 0)
+    assert ch_series(2, 2).coefficient(2) == LaurentPoly.monomial("t", -2, F(-1, 4))
+    assert nonpolar_ifunction(2, [4]) == UMonomial(F(-1, 16), 2)
+    assert ch_series(4, 2).coefficient(2) == LaurentPoly.constant(F(-1, 16), "t")
 
 
 def test_restriction_to_tree_stratum():
-    term = restrict_ifunction(UMonomial(F(-1, 16), 2), StratumRestriction.tn(3))
-    assert term == TnTerm(LaurentPoly.constant(F(-1, 16)), 2, 0)
-    # odd exponents pick up the sign of u -> -psi1
-    term = restrict_ifunction(UMonomial(F(1, 6), 1), StratumRestriction.tn(2))
-    assert term == TnTerm(LaurentPoly.constant(F(-1, 6)), 1, 0)
-
-
-def test_stratum_validation():
-    with pytest.raises(ValueError):
-        StratumRestriction.tn(1)
-    with pytest.raises(ValueError):
-        StratumRestriction("bogus")
+    # u -> -psi1 on T_2 lands at q^(n+1) with int_{T_2} psi1^a psi_inf^(1-a)
+    assert ch_series(2, 3).coefficient(3) == LaurentPoly.monomial("t", -4, F(-1, 4))
+    # odd exponents pick up the sign of u -> -psi1: (-1) * int_{T_2} psi1 = +1
+    assert nonpolar_ifunction(2, [3]) == UMonomial(F(1, 6), 1)
+    assert ch_series(3, 3).coefficient(3) == LaurentPoly.monomial("t", -3, F(1, 6))
 
 
 def test_point_restriction_tautology():
     # for 2n <= k + 2 the point-stratum value over t^2 returns the bracket
     for n, k in [(1, 0), (1, 2), (2, 2), (2, 4), (3, 4), (3, 6), (4, 6)]:
         m = nonpolar_ifunction(n, [k] if k else [])
-        value = restrict_ifunction(m, StratumRestriction.fm1())
+        value = m.as_laurent("t")  # u -> t
         recovered = value.div_monomial(LaurentPoly.monomial("t", 2))
         assert recovered == hilb_integral(n, [k] if k else [])
-
-
-def test_shift_consistency():
-    assert shift_consistency(1, [])
-    assert shift_consistency(3, [2])
-    assert shift_consistency(4, [3])
-    assert shift_consistency(3, [2, 2])
 
 
 def test_vanishing_threshold_larger_brackets():
@@ -87,6 +74,3 @@ def test_vanishing_threshold_larger_brackets():
         assert sum(ks) < 2 * n - 2
         assert nonpolar_ifunction(n, ks).is_zero()
 
-
-def test_shift_consistency_n5():
-    assert shift_consistency(5, [4])

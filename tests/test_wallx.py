@@ -6,9 +6,9 @@ import pytest
 
 from hilbwall.exact import LaurentPoly, QSeries
 from hilbwall.hilb import hilb_integral
-from hilbwall.wallx import (WallSpec, ch_series, dt_identity_check,
-                            euler_series_closed, euler_series_wc,
-                            expand_full_crossing, expand_wall_terms)
+from hilbwall.wallx import (ch_series, dt_identity_check, euler_series_closed,
+                            euler_series_wc, expand_full_crossing,
+                            expand_wall_terms)
 
 
 def mono(exp, coeff):
@@ -18,17 +18,17 @@ def mono(exp, coeff):
 # --- term expanders ---------------------------------------------------------
 
 def test_wall_terms_counts():
-    assert len(expand_wall_terms(2, 0, WallSpec(1))) == 2
-    assert len(expand_wall_terms(3, 0, WallSpec(2))) == 1
-    assert len(expand_wall_terms(2, 1, WallSpec(1))) == 5
+    assert len(expand_wall_terms(2, 0, 1)) == 2
+    assert len(expand_wall_terms(3, 0, 2)) == 1
+    assert len(expand_wall_terms(2, 1, 1)) == 5
 
 
 def test_wall_terms_structure():
-    terms = expand_wall_terms(3, 0, WallSpec(2))
+    terms = expand_wall_terms(3, 0, 2)
     (term,) = terms
     assert term.k == 1 and term.n_prime == 1 and term.blocks == ((),)
     assert term.symmetry_factor == F(1, 1)
-    for term in expand_wall_terms(4, 2, WallSpec(1)):
+    for term in expand_wall_terms(4, 2, 1):
         seen = set(term.retained)
         for block in term.blocks:
             seen |= set(block)
@@ -43,12 +43,12 @@ def test_wall_terms_counts_against_formula():
         for m in range(0, 5):
             for n0 in range(1, n + 1):
                 expected = sum((k + 1) ** m for k in range(1, n // n0 + 1))
-                assert len(expand_wall_terms(n, m, WallSpec(n0))) == expected
+                assert len(expand_wall_terms(n, m, n0)) == expected
 
 
 def test_wall_terms_stable_under_relabeling():
     n, m, n0 = 3, 3, 1
-    base = {(t.k, t.retained, t.blocks) for t in expand_wall_terms(n, m, WallSpec(n0))}
+    base = {(t.k, t.retained, t.blocks) for t in expand_wall_terms(n, m, n0)}
     for perm in permutations(range(m)):
         relabeled = set()
         for (k, retained, blocks) in base:
@@ -62,9 +62,9 @@ def test_wall_terms_stable_under_relabeling():
 
 def test_wall_spec_validation():
     with pytest.raises(ValueError):
-        expand_wall_terms(2, 0, WallSpec(3))
+        expand_wall_terms(2, 0, 3)
     with pytest.raises(ValueError):
-        WallSpec(0)
+        expand_wall_terms(2, 0, 0)
 
 
 def test_full_crossing_compositions():
