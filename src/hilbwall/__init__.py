@@ -13,11 +13,10 @@ from .exact import (BivarPoly, ExactError, LaurentPoly, QSeries,
                     euler_inverse_series, macmahon_series, qs_compose, qs_exp,
                     qs_log, qs_pow_int)
 from .fmcalc import (FMExpr, Insertion, dilaton_step, reduce_pure_tilde,
-                     string_step, tn_integral)
-from .hilb import (FixedPointData, LocalizationError, Partition, arm_leg,
-                   ch_value, enumerate_partitions, fixed_point_data,
-                   hilb_integral, hilb_integral_via_limit, tangent_weights,
-                   taut_weights)
+                     tn_integral)
+from .hilb import (FixedPointData, LocalizationError, Partition, ch_value,
+                   enumerate_partitions, fixed_point_data, hilb_integral,
+                   hilb_integral_via_limit, tangent_weights, taut_weights)
 from .ifun import UMonomial, nonpolar_ifunction
 from .wallx import (FullCrossingTerm, WallTerm, ch_series, dt_identity_check,
                     euler_series_closed, euler_series_wc, expand_full_crossing,
@@ -28,9 +27,8 @@ __all__ = [
     "BivarPoly", "ExactError", "LaurentPoly", "QSeries",
     "euler_inverse_series", "macmahon_series",
     "qs_compose", "qs_exp", "qs_log", "qs_pow_int",
-    "FMExpr", "Insertion", "dilaton_step", "reduce_pure_tilde",
-    "string_step", "tn_integral",
-    "FixedPointData", "LocalizationError", "Partition", "arm_leg",
+    "FMExpr", "Insertion", "dilaton_step", "reduce_pure_tilde", "tn_integral",
+    "FixedPointData", "LocalizationError", "Partition",
     "ch_value", "enumerate_partitions", "fixed_point_data", "hilb_integral",
     "hilb_integral_via_limit", "tangent_weights", "taut_weights",
     "UMonomial", "nonpolar_ifunction",

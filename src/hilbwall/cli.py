@@ -49,157 +49,104 @@ def _series_json(s: QSeries) -> dict:
     return {"variable": "q", "coefficients": coefficients}
 
 
-def _document(result: dict, query: dict) -> dict:
-    return {"result": result, "query": query, "version": __version__}
-
-
-def emit_json(doc: dict) -> str:
-    """Serialize a result document with stable key order."""
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
 def _series_table(s: QSeries) -> str:
     return "\n".join(f"q^{n}: {c}" for n, c in enumerate(s.coeffs))
 
 
-def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# Each _cmd_* validates its flags, computes, and returns the query fields,
+# the JSON result and the table text; run renders one of them.  verify also
+# returns its exit code.
 
-
-def _cmd_partitions(args) -> int:
+def _cmd_partitions(args):
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     parts = enumerate_partitions(args.n)
-    query = {"command": "partitions", "n": args.n}
-    if args.format == "json":
-        result = {"count": len(parts), "partitions": [list(p.parts) for p in parts]}
-        _write(args, emit_json(_document(result, query)))
-    else:
-        lines = [",".join(str(x) for x in p.parts) if p.parts else "(empty)"
-                 for p in parts]
-        _write(args, "\n".join(lines + [f"count: {len(parts)}"]) + "\n")
-    return 0
+    result = {"count": len(parts), "partitions": [list(p.parts) for p in parts]}
+    lines = [",".join(str(x) for x in p.parts) if p.parts else "(empty)"
+             for p in parts]
+    return {"n": args.n}, result, "\n".join(lines + [f"count: {len(parts)}"])
 
 
-def _cmd_hilb_integral(args) -> int:
+def _bracket_flags(args) -> list[int]:
+    """Validate the --n and --ch flags of hilb-integral and ifunction."""
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     ks = sorted(args.ch or [])
     if any(k < 0 for k in ks):
         raise UsageError("--ch must be >= 0")
+    return ks
+
+
+def _cmd_hilb_integral(args):
+    ks = _bracket_flags(args)
     value = hilb_integral(args.n, ks)
-    query = {"command": "hilb-integral", "n": args.n, "ch": ks}
-    if args.format == "json":
-        _write(args, emit_json(_document(_laurent_json(value), query)))
-    else:
-        _write(args, str(value) + "\n")
-    return 0
+    return {"n": args.n, "ch": ks}, _laurent_json(value), str(value)
 
 
-def _cmd_ifunction(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    ks = sorted(args.ch or [])
-    if any(k < 0 for k in ks):
-        raise UsageError("--ch must be >= 0")
+def _cmd_ifunction(args):
+    ks = _bracket_flags(args)
     value = nonpolar_ifunction(args.n, ks).as_laurent("u")
-    query = {"command": "ifunction", "n": args.n, "ch": ks}
-    if args.format == "json":
-        _write(args, emit_json(_document(_laurent_json(value), query)))
-    else:
-        _write(args, str(value) + "\n")
-    return 0
+    return {"n": args.n, "ch": ks}, _laurent_json(value), str(value)
 
 
-def _cmd_tn(args) -> int:
+def _cmd_tn(args):
     if args.n < 2:
         raise UsageError("--n must be >= 2")
     if args.psi1 < 0 or args.psiinf < 0:
         raise UsageError("--psi1 and --psiinf must be >= 0")
     value = tn_integral(args.n, args.psi1, args.psiinf)
-    query = {"command": "tn", "n": args.n, "psi1": args.psi1, "psiinf": args.psiinf}
-    if args.format == "json":
-        _write(args, emit_json(_document({"rational": str(value)}, query)))
-    else:
-        _write(args, str(value) + "\n")
-    return 0
+    query = {"n": args.n, "psi1": args.psi1, "psiinf": args.psiinf}
+    return query, {"rational": str(value)}, str(value)
 
 
-def _cmd_ch_series(args) -> int:
+def _cmd_ch_series(args):
     if args.k is None or args.k < 0:
         raise UsageError("--k must be >= 0")
     if args.order < 1:
         raise UsageError("--order must be >= 1")
     series = ch_series(args.k, args.order)
-    query = {"command": "ch-series", "k": args.k, "order": args.order}
-    if args.format == "json":
-        _write(args, emit_json(_document(_series_json(series), query)))
-    else:
-        _write(args, _series_table(series) + "\n")
-    return 0
+    query = {"k": args.k, "order": args.order}
+    return query, _series_json(series), _series_table(series)
 
 
-def _cmd_euler(args) -> int:
+def _cmd_euler(args):
     if args.d not in (1, 2):
         raise UsageError("--d must be 1 or 2")
     if args.order < 0:
         raise UsageError("--order must be >= 0")
     wc = euler_series_wc(args.d, args.c, args.order)
-    query = {"command": "euler", "d": args.d, "c": args.c,
-             "order": args.order, "check": bool(args.check)}
-    if args.check:
-        closed = euler_series_closed(args.d, args.c, args.order)
-        match = wc == closed
-        if args.format == "json":
-            result = {"wall_crossing": _series_json(wc),
-                      "closed_form": _series_json(closed),
-                      "match": match}
-            _write(args, emit_json(_document(result, query)))
-        else:
-            _write(args, "wall-crossing:\n" + _series_table(wc)
-                   + "\nclosed form:\n" + _series_table(closed)
-                   + ("\nMATCH\n" if match else "\nMISMATCH\n"))
-        return 0
-    if args.format == "json":
-        _write(args, emit_json(_document(_series_json(wc), query)))
-    else:
-        _write(args, _series_table(wc) + "\n")
-    return 0
+    query = {"d": args.d, "c": args.c, "order": args.order, "check": bool(args.check)}
+    if not args.check:
+        return query, _series_json(wc), _series_table(wc)
+    closed = euler_series_closed(args.d, args.c, args.order)
+    match = wc == closed
+    result = {"wall_crossing": _series_json(wc),
+              "closed_form": _series_json(closed),
+              "match": match}
+    text = ("wall-crossing:\n" + _series_table(wc)
+            + "\nclosed form:\n" + _series_table(closed)
+            + ("\nMATCH" if match else "\nMISMATCH"))
+    return query, result, text
 
 
-def _cmd_dt_check(args) -> int:
+def _cmd_dt_check(args):
     if args.order < 1:
         raise UsageError("--order must be >= 1")
     holds = dt_identity_check(args.c, args.order)
-    query = {"command": "dt-check", "c": args.c, "order": args.order}
-    if args.format == "json":
-        _write(args, emit_json(_document({"identity_holds": holds}, query)))
-    else:
-        _write(args, ("MATCH" if holds else "MISMATCH") + "\n")
-    return 0
+    query = {"c": args.c, "order": args.order}
+    return query, {"identity_holds": holds}, "MATCH" if holds else "MISMATCH"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     results = run_all_checks()
     all_passed = all(r.passed for r in results)
-    query = {"command": "verify"}
-    if args.format == "json":
-        result = {"passed": all_passed,
-                  "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                             for r in results]}
-        _write(args, emit_json(_document(result, query)))
-    else:
-        lines = []
-        for i, r in enumerate(results, 1):
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(f"[{i:2d}/{len(results)}] {status}  {r.name}: {r.detail}")
-        lines.append("all checks passed" if all_passed else "SOME CHECKS FAILED")
-        _write(args, "\n".join(lines) + "\n")
-    return 0 if all_passed else 1
+    result = {"passed": all_passed,
+              "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
+                         for r in results]}
+    lines = [f"[{i:2d}/{len(results)}] {'PASS' if r.passed else 'FAIL'}  "
+             f"{r.name}: {r.detail}" for i, r in enumerate(results, 1)]
+    lines.append("all checks passed" if all_passed else "SOME CHECKS FAILED")
+    return {}, result, "\n".join(lines), 0 if all_passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,13 +225,25 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # argparse already printed a diagnostic
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        fields, result, text, *code = args.fn(args)
+        if args.format == "json":
+            doc = {"result": result, "query": {"command": args.command, **fields},
+                   "version": __version__}
+            text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        else:
+            text += "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (UsageError, ExactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+    return code[0] if code else 0
 
 
 def main() -> None:

@@ -10,7 +10,7 @@ map ``(e1, e2) -> Fraction`` with nonnegative exponents, used by the
 rational-limit cross-check of the localization kernel.  :class:`QSeries` is
 a power series in q known through an explicit order, with Fraction or
 Laurent-polynomial coefficients; two series are equal only when their
-orders agree, and :meth:`QSeries.agrees_through` compares a common prefix.
+orders agree.
 
 The zero polynomial has an empty term map; constructors prune zero
 coefficients.  Canonical rendering sorts terms by ascending exponent and
@@ -143,25 +143,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ExactError("division by zero")
-            return LaurentPoly(self.var, {e: c / other for e, c in self.terms.items()})
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ExactError("Laurent power requires a nonnegative integer")
-        result = LaurentPoly.constant(1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def div_monomial(self, other: "LaurentPoly") -> "LaurentPoly":
         """Divide exactly by a nonzero monomial."""
         if not other.is_monomial():
@@ -242,9 +223,6 @@ class BivarPoly:
         """The linear form a*t1 + b*t2."""
         return cls({(1, 0): a, (0, 1): b})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _coerce(self, other) -> "BivarPoly":
         if isinstance(other, BivarPoly):
             return other
@@ -263,15 +241,6 @@ class BivarPoly:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return BivarPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -284,14 +253,6 @@ class BivarPoly:
         return BivarPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ExactError("bivariate power requires a nonnegative integer")
-        result = BivarPoly.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def expand_near_diagonal(self) -> dict[int, LaurentPoly]:
         """Expand P(t1, t2) with t2 = t1 - delta as {delta power: poly in t = t1}.
@@ -319,26 +280,6 @@ class BivarPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        def mono(e1, e2):
-            out = []
-            if e1:
-                out.append("t1" if e1 == 1 else f"t1^{e1}")
-            if e2:
-                out.append("t2" if e2 == 1 else f"t2^{e2}")
-            return "*".join(out)
-        pieces = []
-        for (e1, e2) in sorted(self.terms):
-            c = self.terms[(e1, e2)]
-            m = mono(e1, e2)
-            pieces.append(f"{c}*{m}" if m else str(c))
-        return " + ".join(pieces)
-
     def __repr__(self):
         return f"BivarPoly({self.terms!r})"
 
@@ -349,7 +290,7 @@ class QSeries:
     Coefficients live in any exact ring with +, * and scalar division
     (Fractions or Laurent polynomials in t here).  The order of a binary
     result is the minimum of the operand orders.  Equality requires equal
-    orders; :meth:`agrees_through` compares a prefix explicitly.
+    orders; compare a prefix by truncating first.
     """
 
     __slots__ = ("coeffs",)
@@ -422,36 +363,16 @@ class QSeries:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def agrees_through(self, other: "QSeries", order: int) -> bool:
-        """Whether the coefficients of q^0 .. q^order agree; both series
-        must be known through ``order``."""
-        if order > min(self.order, other.order):
-            raise ExactError(f"q^{order} is beyond the truncation order")
-        return self.coeffs[: order + 1] == other.coeffs[: order + 1]
-
-    def __str__(self):
-        return "; ".join(f"q^{n}: {c}" for n, c in enumerate(self.coeffs))
-
     def __repr__(self):
         return f"QSeries({self.coeffs!r})"
 
 
-def _unit_inverse(c):
-    """Inverse of an invertible coefficient (Fraction or Laurent monomial)."""
-    if isinstance(c, LaurentPoly):
-        if not c.is_monomial():
-            raise ExactError("cannot invert a non-monomial coefficient")
-        (e, v), = c.terms.items()
-        return LaurentPoly.monomial(c.var, -e, 1 / v)
-    c = _frac(c)
-    if c == 0:
-        raise ExactError("cannot invert zero")
-    return 1 / c
-
-
 def qs_inverse(s: QSeries) -> QSeries:
-    """Multiplicative inverse of a series with invertible constant term."""
-    inv0 = _unit_inverse(s.coeffs[0])
+    """Multiplicative inverse of a series with rational, nonzero constant term."""
+    c0 = _frac(s.coeffs[0])
+    if c0 == 0:
+        raise ExactError("cannot invert zero")
+    inv0 = 1 / c0
     out = [inv0]
     for n in range(1, s.order + 1):
         acc = s.coeffs[1] * out[n - 1]

@@ -15,18 +15,14 @@ recursion tested in the verification suite.  The one-end contributions
 reach these integrals through the substitution u -> -psi1, which
 :func:`hilbwall.wallx.ch_series` applies where it sums over the T_N.
 
-Second, a rewrite system for brackets of psi and psi-tilde insertions on
+Second, the dilaton step for brackets of psi and psi-tilde insertions on
 the full Fulton-MacPherson space of a d-dimensional variety, with the top
-Chern class of the variety kept as the formal symbol c_d.  Values are
+Chern class of the variety kept as the formal symbol c_d: a trailing bare
+psi-tilde insertion comes off as the factor (-1)^d * (c_d - n), n the
+number of remaining insertions.  Values are
 :class:`~hilbwall.exact.LaurentPoly` polynomials in the variable ``c{d}``
-(c1, c2 or c3), so polynomials of different dimensions never mix:
-
-* dilaton step: a trailing bare psi-tilde insertion comes off as the
-  factor (-1)^d * (c_d - n), n the number of remaining insertions;
-* string step: a trailing trivial insertion distributes over the other
-  insertions, clearing one tilde at a time with sign (-1)^(d-1).
-
-The empty bracket is 1.
+(c1, c2 or c3), so polynomials of different dimensions never mix.  The
+empty bracket is 1.
 """
 
 from __future__ import annotations
@@ -51,11 +47,10 @@ def tn_integral(n: int, a: int, b: int) -> Fraction:
 
 @dataclass(frozen=True)
 class Insertion:
-    """One bracket slot: an optional tilde, a psi power, and a class tag."""
+    """One bracket slot: an optional tilde and a psi power."""
 
     has_tilde: bool = False
     psi_power: int = 0
-    class_tag: str = "1"
 
     def __post_init__(self):
         if self.psi_power < 0:
@@ -63,7 +58,6 @@ class Insertion:
 
 
 TILDE = Insertion(has_tilde=True)
-TRIVIAL = Insertion()
 
 
 @dataclass(frozen=True)
@@ -83,55 +77,22 @@ class FMExpr:
     def bracket_size(self) -> int:
         return len(self.insertions)
 
-    def __str__(self):
-        def slot(ins: Insertion) -> str:
-            body = "~psi" if ins.has_tilde else ""
-            if ins.psi_power:
-                body += f"psi^{ins.psi_power}"
-            if ins.class_tag != "1":
-                body += f"*{ins.class_tag}"
-            return body or "1"
-        inner = ", ".join(slot(i) for i in self.insertions)
-        return f"<{inner}>_{self.bracket_size}"
-
 
 def dilaton_step(e: FMExpr) -> tuple[LaurentPoly, FMExpr]:
     """Remove a trailing bare tilde insertion.
 
-    The last insertion must be exactly (tilde, psi^0, tag 1); it comes off
-    as the factor (-1)^d * (c_d - n) with n the size of the reduced bracket.
+    The last insertion must be exactly (tilde, psi^0); it comes off as the
+    factor (-1)^d * (c_d - n) with n the size of the reduced bracket.
     """
     if not e.insertions:
         raise ExactError("dilaton not applicable: empty bracket")
     last = e.insertions[-1]
-    if not (last.has_tilde and last.psi_power == 0 and last.class_tag == "1"):
+    if last != TILDE:
         raise ExactError("dilaton not applicable: last insertion is not a bare tilde")
     n = e.bracket_size - 1
     sign = (-1) ** e.d
     factor = LaurentPoly(f"c{e.d}", {1: sign, 0: -sign * n})
     return factor, FMExpr(e.d, e.insertions[:-1])
-
-
-def string_step(e: FMExpr) -> list[tuple[Fraction, FMExpr]]:
-    """Remove a trailing trivial insertion.
-
-    Requires every other insertion to carry a tilde; returns one summand
-    per insertion, with that tilde cleared and sign (-1)^(d-1).
-    """
-    if not e.insertions:
-        raise ExactError("string not applicable: empty bracket")
-    last = e.insertions[-1]
-    if last.has_tilde or last.psi_power != 0 or last.class_tag != "1":
-        raise ExactError("string not applicable: last insertion is not trivial")
-    rest = e.insertions[:-1]
-    if any(not ins.has_tilde for ins in rest):
-        raise ExactError("string not applicable: an insertion is missing its tilde")
-    sign = Fraction((-1) ** (e.d - 1))
-    out = []
-    for i, ins in enumerate(rest):
-        cleared = Insertion(False, ins.psi_power, ins.class_tag)
-        out.append((sign, FMExpr(e.d, rest[:i] + (cleared,) + rest[i + 1:])))
-    return out
 
 
 def reduce_pure_tilde(k: int, d: int) -> LaurentPoly:

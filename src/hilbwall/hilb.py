@@ -19,12 +19,12 @@ The diagonal one-parameter torus is reached without any rational-function
 arithmetic.  Substitute t1 = t, t2 = t + eps; every bracket is a single
 monomial C * t^(K - 2n), K the total ch degree, so t = 1 loses nothing and
 the kernel works with integer eps-series only.  At a fixed point with P
-pole factors (tangent weights whose diagonal part a + b vanishes) the Euler
-class is eps^P times the product of the pole slopes times the non-pole
-factors (a+b) + s*eps; the numerator prod k_i! ch_{k_i} is the box sum of
-(-(c+r) - s*eps)^k, multiplied out.  Both are known through eps^P, and one
-power-series division, the only rational step, gives the contribution to
-eps^-P .. eps^0.  The sum over all partitions is regular at eps = 0;
+pole factors (tangent weights a*t1 + b*t2 whose diagonal part a + b
+vanishes) the Euler class is eps^P times the product of the pole slopes b
+times the non-pole factors (a+b) + b*eps; the numerator prod k_i! ch_{k_i}
+is the box sum of (-(c+r) - r*eps)^k, multiplied out.  Both are known
+through eps^P, and one power-series division, the only rational step,
+gives the contribution to eps^-P .. eps^0.  The sum over all partitions is regular at eps = 0;
 surviving negative powers signal a convention bug and raise
 :class:`LocalizationError`.
 """
@@ -58,13 +58,6 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
 
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def conjugate(self) -> "Partition":
         if not self.parts:
             return Partition(())
@@ -75,10 +68,6 @@ class Partition:
     def boxes(self) -> list[tuple[int, int]]:
         """All boxes (row, col), row-major order."""
         return [(r, c) for r, p in enumerate(self.parts) for c in range(p)]
-
-    def __contains__(self, box: tuple[int, int]) -> bool:
-        r, c = box
-        return 0 <= r < len(self.parts) and 0 <= c < self.parts[r]
 
     def __str__(self):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
@@ -118,17 +107,6 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
     rec(n, max(n, 1), [])
     return out
-
-
-def arm_leg(lam: PartitionLike, box: tuple[int, int]) -> tuple[int, int]:
-    """Arm and leg of a box: cells to its right in the row, below in the column."""
-    lam = _as_partition(lam)
-    if box not in lam:
-        raise ValueError(f"box {box} is outside {lam}")
-    r, c = box
-    arm = lam.parts[r] - c - 1
-    leg = lam.conjugate().parts[c] - r - 1
-    return arm, leg
 
 
 def tangent_weights(lam: PartitionLike) -> list[tuple[int, int]]:
@@ -206,40 +184,38 @@ def _pole_count(data: FixedPointData) -> int:
 
 
 @lru_cache(maxsize=None)
-def _euler_eps(parts: tuple[int, ...], eps_on_second: bool) -> tuple[tuple[int, ...], int]:
+def _euler_eps(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Tangent Euler class at t = 1, split as eps^P * slopes * D(eps).
 
-    D is the product of the non-pole factors (a+b) + s*eps, known through
-    eps^P, where the eps slope s is b when eps rides on t2 and a otherwise; ``slopes`` is the product of the P pole
-    slopes.  Returns (D coefficients, slopes).
+    D is the product of the non-pole factors (a+b) + b*eps, known through
+    eps^P, and ``slopes`` is the product of the P pole slopes b.  Returns
+    (D coefficients, slopes).
     """
     data = _fixed_point_data(parts)
     length = _pole_count(data) + 1
     den = [1] + [0] * (length - 1)
     slopes = 1
     for (a, b) in data.tangent:
-        s = b if eps_on_second else a
         w = a + b
         if w == 0:
-            slopes *= s
+            slopes *= b
             continue
         for j in range(length - 1, 0, -1):
-            den[j] = den[j] * w + den[j - 1] * s
+            den[j] = den[j] * w + den[j - 1] * b
         den[0] *= w
     return tuple(den), slopes
 
 
 @lru_cache(maxsize=None)
-def _ch_eps(parts: tuple[int, ...], k: int, eps_on_second: bool) -> tuple[int, ...]:
-    """k! * ch_k at t = 1: the box sum of (-(c+r) - s*eps)^k through eps^P."""
+def _ch_eps(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """k! * ch_k at t = 1: the box sum of (-(c+r) - r*eps)^k through eps^P."""
     data = _fixed_point_data(parts)
     poles = _pole_count(data)
     out = [0] * (poles + 1)
     for (c, r) in data.taut:
         d = -(c + r)
-        s = -(r if eps_on_second else c)
         for j in range(min(k, poles) + 1):
-            out[j] += comb(k, j) * d ** (k - j) * s ** j
+            out[j] += comb(k, j) * d ** (k - j) * (-r) ** j
     return tuple(out)
 
 
@@ -251,31 +227,27 @@ def _mul_trunc(a: list[int], b: tuple[int, ...]) -> list[int]:
 BRACKET_CACHE_SIZE = 256
 
 
-def hilb_integral(n: int, ks: Iterable[int] = (), *,
-                  eps_on_second: bool = True) -> LaurentPoly:
+def hilb_integral(n: int, ks: Iterable[int] = ()) -> LaurentPoly:
     """Integral of prod_i ch_{k_i} over the n-point Hilbert scheme of the
     plane, equivariant for the diagonal torus, as a Laurent polynomial in t.
 
-    The empty insertion list gives 1/(n! t^(2n)).  ``eps_on_second`` picks
-    which full-torus variable carries the auxiliary eps; the result is
-    independent of the choice (the fixed-point set is transpose symmetric).
-    The last BRACKET_CACHE_SIZE brackets are memoized, so callers share
+    The empty insertion list gives 1/(n! t^(2n)).  The last BRACKET_CACHE_SIZE brackets are memoized, so callers share
     the returned value (no LaurentPoly operation mutates its operands).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _bracket(n, normalize_insertions(ks), bool(eps_on_second))
+    return _bracket(n, normalize_insertions(ks))
 
 
 @lru_cache(maxsize=BRACKET_CACHE_SIZE)
-def _bracket(n: int, ks: tuple[int, ...], eps_on_second: bool) -> LaurentPoly:
+def _bracket(n: int, ks: tuple[int, ...]) -> LaurentPoly:
     totals: list[Fraction] = []  # totals[m] is the coefficient of eps^-m
     for lam in enumerate_partitions(n):
-        den, slopes = _euler_eps(lam.parts, eps_on_second)
+        den, slopes = _euler_eps(lam.parts)
         poles = len(den) - 1
         num = [1] + [0] * poles
         for k in ks:
-            num = _mul_trunc(num, _ch_eps(lam.parts, k, eps_on_second))
+            num = _mul_trunc(num, _ch_eps(lam.parts, k))
         if not any(num):
             continue
         # N/D = sum_j r_j / d0^(j+1) * eps^j, with every r_j an integer

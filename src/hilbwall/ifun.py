@@ -45,9 +45,6 @@ class UMonomial:
             return LaurentPoly.zero(var)
         return LaurentPoly.monomial(var, self.exp, self.coeff)
 
-    def __str__(self):
-        return str(self.as_laurent())
-
 
 def nonpolar_ifunction(n: int, ks: Iterable[int] = ()) -> UMonomial:
     """Nonpolar part of I_n(z, prod ch_{k_i}) as a u-monomial.

@@ -42,11 +42,6 @@ def _mono(exp: int, coeff: Fraction) -> LaurentPoly:
 # frozen generating-series shapes for the ch_k brackets, k = 2 .. 6
 
 
-def _exp_q_over_t2(order: int) -> QSeries:
-    """exp(q / t^2) with Laurent coefficients."""
-    return QSeries([_mono(-2 * m, Fraction(1, factorial(m))) for m in range(order + 1)])
-
-
 def _shifted_exp(order: int, shift_q: int, shift_t: int, scale: Fraction) -> QSeries:
     """scale * q^shift_q * t^shift_t * exp(q/t^2), truncated at ``order``."""
     coeffs = [LaurentPoly.zero("t") for _ in range(order + 1)]
@@ -223,19 +218,9 @@ def check_property_suites() -> tuple[bool, str]:
 
 
 def _sum_bounded_partitions(total: int) -> list[tuple[int, ...]]:
-    """All multisets of positive integers with sum <= total, as sorted tuples."""
-    out: list[tuple[int, ...]] = [()]
-
-    def rec(prefix: tuple[int, ...], remaining: int, cap: int):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            rec(prefix + (p,), remaining - p, p)
-
-    for m in range(1, total + 1):
-        rec((), m, m)
-    return out
+    """All multisets of positive integers with sum <= total, as weakly
+    decreasing tuples."""
+    return [lam.parts for m in range(total + 1) for lam in enumerate_partitions(m)]
 
 
 def check_ifunction_threshold() -> tuple[bool, str]:

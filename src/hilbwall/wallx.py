@@ -132,14 +132,14 @@ def ch_series(k: int, q_order: int) -> QSeries:
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
     coeffs = [LaurentPoly.zero("t") for _ in range(q_order + 1)]
-    for n in range(1, (k + 2) // 2 + 1):
+    # a seed at n > q_order lands beyond the order on every stratum
+    for n in range(1, min((k + 2) // 2, q_order) + 1):
         seed = nonpolar_ifunction(n, (k,))
         if seed.is_zero():
             continue
         c, a = seed.coeff, seed.exp
         # one-point stratum: u -> t, divided by the normal weight t^2
-        if n <= q_order:
-            coeffs[n] = coeffs[n] + LaurentPoly.monomial("t", a - 2, c)
+        coeffs[n] = coeffs[n] + LaurentPoly.monomial("t", a - 2, c)
         # tree loci: u -> -psi1, and 1/(t^2 (t - psi_inf)) = sum_j psi_inf^j
         # t^(-3-j), of which only j = 2N - 3 - a meets the dimension of T_N
         for big_n in range(2, q_order - n + 2):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -174,3 +175,80 @@ def test_domain_error_exits_2_with_one_line(monkeypatch, capsys, error):
     code, out, err = invoke(capsys, "hilb-integral", "--n", "3", "--format", "json")
     assert code == 2 and out == ""
     assert err == "error: localization sum not regular on diagonal\n"
+
+
+# (command line, format, exit code, stderr, sha256 of stdout): the README
+# examples and the edge cases around them, recorded once and pinned so that
+# any change to the rendered bytes shows up here
+BYTE_STABLE = [
+    ('partitions --n 4', 'table', 0, '',
+     '06d392a35588437923e244105840907c23bfd88d69080999735c1eb85fa0aedc'),
+    ('partitions --n 4', 'json', 0, '',
+     '97ff13023928627ba5bf3311e325e61cc01e47f4673ce9990e2d1c0d481e2c4f'),
+    ('hilb-integral --n 3 --ch 2', 'table', 0, '',
+     'fdd70c93607c24a65c57c3d8eefe7024180d679978d0106fcecdf5d4c89d7797'),
+    ('hilb-integral --n 3 --ch 2', 'json', 0, '',
+     '615ab515d596b6e6d7b0638fe54ba1c93405e651b73a35bea7b48b054540797d'),
+    ('hilb-integral --n 4 --ch 2 --ch 2', 'table', 0, '',
+     '672fd9c7a1876576072dd5d66fb875a3a645e756e3ab0dce02ea54723b0265a8'),
+    ('hilb-integral --n 4 --ch 2 --ch 2', 'json', 0, '',
+     '5ef8c5a15e71985279a9c39589ce5cb748c36c6bf6c6d6d03ca51ea95073f801'),
+    ('ifunction --n 2 --ch 4', 'table', 0, '',
+     '78aafe80978eb6d0036274c7300f31f6c9cf80bd17794092577e0644ff154efc'),
+    ('ifunction --n 2 --ch 4', 'json', 0, '',
+     'd3e338657807652e3ebe0a6234647a010d7d2018d1d9d01a07ff11c1726e7cc4'),
+    ('tn --n 2 --psi1 1 --psiinf 0', 'table', 0, '',
+     'ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28'),
+    ('tn --n 2 --psi1 1 --psiinf 0', 'json', 0, '',
+     '79fafe9007ef3b40a491d2dea69f4a76073b5ef662eb4521efbaf7a5ec0431d2'),
+    ('tn --n 4 --psi1 2 --psiinf 3', 'table', 0, '',
+     '4b883e04ed1a2af32c21811a12f2ccc766a1d73040b533ae4bcdfad8aca74293'),
+    ('tn --n 4 --psi1 2 --psiinf 3', 'json', 0, '',
+     '746c3cec0749f92d754f76da431e27f8ddc6d063f870f33b1fb071f36369d1d8'),
+    ('ch-series --k 4 --order 10', 'table', 0, '',
+     '2100898fd8a9019db616dac7dea500bc66a9e1c2a27779a4aeaeab561e675de6'),
+    ('ch-series --k 4 --order 10', 'json', 0, '',
+     '012bc044cc966ffa26f8fdcde343bed51469352c3fd4de10c8b22f7062c10dc7'),
+    ('ch-series --k 3 --order 4', 'table', 0, '',
+     '0bc6a280c699c45f44170b8e591a40db47dec860c7b1c58be6414015d8a1bb85'),
+    ('ch-series --k 3 --order 4', 'json', 0, '',
+     '8c9edea5b56f613f3132c66159e726d95c8928c39e8efebe953f040de5bdf74e'),
+    ('ch-series --k 0 --order 5', 'table', 0, '',
+     '61068b772e4003b0f9c9835d1991157453022036052da1a741c59bafd59a8ec9'),
+    ('ch-series --k 0 --order 5', 'json', 0, '',
+     '22cff916ca288549d3c520e01f72512a7361e2fe23efabf5f8712e5e45b4d3f7'),
+    ('euler --d 2 --c 24 --order 3 --check', 'table', 0, '',
+     '4f0d647c0a8620b503576ac6c9134dc2d3707f1cb527ca0ff0970aa1d315bed9'),
+    ('euler --d 2 --c 24 --order 3 --check', 'json', 0, '',
+     '9e61c7089f411b311bb5b4df63f4592761c090241252ada64cfae7b5e26f41cc'),
+    ('euler --d 1 --c -3 --order 6', 'table', 0, '',
+     '2d045656a57ab2da8df64b424d18f861e88fb9ffd2b2952149daa3b96975da6e'),
+    ('euler --d 1 --c -3 --order 6', 'json', 0, '',
+     'c50b05bb973fa33c220466dd938f4c58c8128452357d17251d0eab3857b05658'),
+    ('dt-check --c -6 --order 16', 'table', 0, '',
+     '9160780d5c504b1c6e70039d6782e0de65a7dc60e0eaf55356ff930d2619bc6b'),
+    ('dt-check --c -6 --order 16', 'json', 0, '',
+     '4a373786d1dea72f6e003d6cd00f67d098a7abc3792a1256e6ec3520ff5b4b0e'),
+    ('hilb-integral --n 0', 'table', 2, 'error: --n must be >= 1\n',
+     'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('hilb-integral --n 0', 'json', 2, 'error: --n must be >= 1\n',
+     'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('ifunction --n 2 --ch -1', 'table', 2, 'error: --ch must be >= 0\n',
+     'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('ifunction --n 2 --ch -1', 'json', 2, 'error: --ch must be >= 0\n',
+     'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('euler --d 3 --c 1 --order 4', 'table', 2, 'error: --d must be 1 or 2\n',
+     'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('euler --d 3 --c 1 --order 4', 'json', 2, 'error: --d must be 1 or 2\n',
+     'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('verify', 'table', 0, '',
+     '4b9ac5bd1eb84e14c6814aa9379def8ed8d1bf0d31e4540302beae17d52cc9d0'),
+]
+
+
+@pytest.mark.parametrize("line, fmt, code, err, digest", BYTE_STABLE,
+                         ids=[f"{row[0]} ({row[1]})" for row in BYTE_STABLE])
+def test_cli_output_is_byte_stable(capsys, line, fmt, code, err, digest):
+    got_code, out, got_err = invoke(capsys, *line.split(), "--format", fmt)
+    got = (got_code, got_err, hashlib.sha256(out.encode()).hexdigest())
+    assert got == (code, err, digest), out

@@ -13,11 +13,6 @@ def lp(terms, var="t"):
 
 # --- Laurent polynomials -----------------------------------------------------
 
-def test_rat_division_by_zero():
-    with pytest.raises(ExactError):
-        lp({1: F(1, 2)}) / F(0)
-
-
 def test_lp_ring_examples():
     assert lp({-2: 1}) * lp({3: 1}) == lp({1: 1})
     assert lp({1: 1}) - lp({1: 1}) == lp({})
@@ -112,13 +107,14 @@ def test_qs_preconditions():
 
 
 def test_qs_equality_up_to_common_order():
+    # a prefix is compared by truncating to the common order first
     short, long = QSeries.from_terms(3, {1: 2}), QSeries.from_terms(7, {1: 2})
-    assert short.agrees_through(long, 3) and long.agrees_through(short, 3)
-    assert short.agrees_through(QSeries.from_terms(7, {1: 2, 5: 1}), 3)
-    assert not short.agrees_through(QSeries.from_terms(7, {1: 3}), 3)
-    assert long.agrees_through(QSeries.from_terms(7, {1: 2, 5: 1}), 4)
+    assert long.truncate(3) == short
+    assert QSeries.from_terms(7, {1: 2, 5: 1}).truncate(3) == short
+    assert QSeries.from_terms(7, {1: 3}).truncate(3) != short
+    assert QSeries.from_terms(7, {1: 2, 5: 1}).truncate(4) == long.truncate(4)
     with pytest.raises(ExactError):
-        short.agrees_through(long, 4)
+        short.truncate(4)
 
 
 def test_qs_equality_requires_equal_order():
@@ -203,15 +199,3 @@ def test_compose_exp_with_log_macmahon():
     composed = qs_compose(qs_exp(QSeries.from_terms(order, {1: 1})), qs_log(m_neg))
     expected = [(-1) ** n * count_plane_partitions(n) for n in range(order + 1)]
     assert [composed.coefficient(i) for i in range(order + 1)] == expected
-
-
-def test_power_operators():
-    p = lp({0: 1, 1: 1})
-    assert p ** 0 == lp({0: 1})
-    assert p ** 3 == lp({0: 1, 1: 3, 2: 3, 3: 1})
-    assert lp({-1: 2}) ** 2 == lp({-2: 4})
-    from hilbwall.exact import BivarPoly
-    q = BivarPoly.linear(1, -1)
-    assert q ** 2 == BivarPoly({(2, 0): 1, (1, 1): -2, (0, 2): 1})
-    with pytest.raises(ExactError):
-        p ** -1

@@ -4,8 +4,8 @@ from math import comb, factorial
 import pytest
 
 from hilbwall.exact import ExactError, LaurentPoly
-from hilbwall.fmcalc import (TILDE, TRIVIAL, FMExpr, Insertion, dilaton_step,
-                             reduce_pure_tilde, string_step, tn_integral)
+from hilbwall.fmcalc import (TILDE, FMExpr, Insertion, dilaton_step,
+                             reduce_pure_tilde, tn_integral)
 
 
 def c_(dim, coeffs):
@@ -55,7 +55,7 @@ def test_tn_integral_validation():
         tn_integral(3, -1, 4)
 
 
-# --- dilaton and string rewrites -------------------------------------------------
+# --- dilaton rewrite ---------------------------------------------------------------
 
 def test_dilaton_step_examples():
     factor, reduced = dilaton_step(FMExpr(2, (TILDE,)))
@@ -74,42 +74,11 @@ def test_dilaton_step_examples():
 
 def test_dilaton_not_applicable():
     with pytest.raises(ExactError):
-        dilaton_step(FMExpr(2, (TRIVIAL,)))
+        dilaton_step(FMExpr(2, (Insertion(),)))
     with pytest.raises(ExactError):
         dilaton_step(FMExpr(2, (Insertion(True, 1),)))
     with pytest.raises(ExactError):
         dilaton_step(FMExpr(2, ()))
-
-
-def test_string_step_examples():
-    out = string_step(FMExpr(2, (TILDE, TRIVIAL)))
-    assert out == [(F(-1), FMExpr(2, (TRIVIAL,)))]
-
-    expr = FMExpr(1, (Insertion(True, 2), TILDE, TRIVIAL))
-    out = string_step(expr)
-    assert len(out) == 2
-    assert all(sign == 1 for sign, _ in out)
-    assert out[0][1] == FMExpr(1, (Insertion(False, 2), TILDE))
-    assert out[1][1] == FMExpr(1, (Insertion(True, 2), TRIVIAL))
-
-    out = string_step(FMExpr(3, (TILDE, TILDE, TRIVIAL)))
-    assert len(out) == 2
-    assert all(sign == 1 for sign, _ in out)
-
-
-def test_string_not_applicable():
-    with pytest.raises(ExactError):
-        string_step(FMExpr(2, (TILDE,)))  # last insertion is a tilde
-    with pytest.raises(ExactError):
-        string_step(FMExpr(2, (TRIVIAL, TRIVIAL)))  # missing tilde
-
-
-def test_class_tags_pass_through():
-    tagged = Insertion(True, 0, "gamma")
-    factor, reduced = dilaton_step(FMExpr(2, (tagged, TILDE)))
-    assert reduced == FMExpr(2, (tagged,))
-    out = string_step(FMExpr(2, (tagged, TRIVIAL)))
-    assert out == [(F(-1), FMExpr(2, (Insertion(False, 0, "gamma"),)))]
 
 
 # --- pure tilde closure ----------------------------------------------------------

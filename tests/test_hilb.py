@@ -6,7 +6,7 @@ import pytest
 
 from hilbwall import hilb
 from hilbwall.exact import BivarPoly, LaurentPoly
-from hilbwall.hilb import (LocalizationError, Partition, arm_leg, ch_value,
+from hilbwall.hilb import (LocalizationError, Partition, ch_value,
                            enumerate_partitions, fixed_point_data,
                            hilb_integral, hilb_integral_via_limit,
                            tangent_weights, taut_weights)
@@ -72,15 +72,15 @@ def test_partition_validation():
 # --- box data -----------------------------------------------------------------
 
 def test_arm_leg_examples():
-    assert arm_leg(Partition((1,)), (0, 0)) == (0, 0)
-    assert arm_leg(Partition((2,)), (0, 0)) == (1, 0)
-    assert arm_leg(Partition((3, 1)), (0, 0)) == (2, 1)
-    with pytest.raises(ValueError):
-        arm_leg(Partition((2,)), (1, 0))
+    # each box with arm a and leg l gives the hook pair (a+1, -l), (-a, l+1),
+    # in row-major box order
+    assert tangent_weights(Partition((1,))) == [(1, 0), (0, 1)]
+    assert tangent_weights(Partition((2,)))[:2] == [(2, 0), (-1, 1)]
+    # the box (0,0) of (3,1) has arm 2 and leg 1
+    assert tangent_weights(Partition((3, 1)))[:2] == [(3, -1), (-2, 2)]
 
 
 def test_tangent_weights_examples():
-    assert sorted(tangent_weights(Partition((1,)))) == [(0, 1), (1, 0)]
     for n in range(1, 8):
         for lam in enumerate_partitions(n):
             tw = tangent_weights(lam)
@@ -109,7 +109,7 @@ def test_taut_weights_examples():
 # --- Chern character values ----------------------------------------------------
 
 def test_ch_value_examples():
-    assert ch_value(Partition((1,)), 2).is_zero()
+    assert ch_value(Partition((1,)), 2) == BivarPoly.zero()
     assert ch_value(Partition((2,)), 2) == BivarPoly({(2, 0): F(1, 2)})
     # dual weights: the fiber is spanned by functions, so ch_1 of the row
     # partition (2) is -t1 (see the hilb module docstring)
@@ -157,11 +157,6 @@ def test_homogeneity_degree():
                 assert value.homogeneous_degree() == sum(ks) - 2 * n
 
 
-def test_diagonal_sum_independent_of_eps_side():
-    for n, ks in [(2, []), (3, [2]), (4, [4]), (5, [2, 3]), (4, [1, 1, 2])]:
-        assert hilb_integral(n, ks) == hilb_integral(n, ks, eps_on_second=False)
-
-
 def test_agrees_with_rational_limit_oracle():
     for n, ks in [(1, []), (2, [2]), (3, []), (3, [4]), (4, [2, 2]), (4, [3])]:
         assert hilb_integral_via_limit(n, ks) == hilb_integral(n, ks)
@@ -183,7 +178,7 @@ def test_regularity_check_fires_on_a_missing_fixed_point(monkeypatch):
     with pytest.raises(LocalizationError):
         hilb_integral(4)
     with pytest.raises(LocalizationError):
-        hilb_integral(4, [2], eps_on_second=False)
+        hilb_integral(4, [2])
 
 
 def test_bracket_memo_runs_the_kernel_once():
@@ -225,4 +220,5 @@ def test_limit_oracle_at_n5():
     assert hilb_integral(5, [2, 2]) == hilb_integral_via_limit(5, [2, 2])
     assert hilb_integral(5, [6]) == hilb_integral_via_limit(5, [6])
     assert hilb_integral(5, [4]) == hilb_integral_via_limit(5, [4])
+    assert hilb_integral(5, [2, 3]) == hilb_integral_via_limit(5, [2, 3])
     assert hilb_integral(5, [6]) == mono(-4, F(1, 120))

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from hilbwall import hilb
 from hilbwall.exact import LaurentPoly, QSeries
 from hilbwall.hilb import hilb_integral
 from hilbwall.wallx import (ch_series, dt_identity_check, euler_series_closed,
@@ -117,6 +118,14 @@ def test_ch_series_agrees_with_localization():
         s = ch_series(k, 6)
         for n in range(1, 7):
             assert s.coefficient(n) == hilb_integral(n, [k]), (k, n)
+
+
+def test_ch_series_skips_seeds_beyond_the_order():
+    # a seed at n > q_order cannot land in the series, so only n = 1, 2 run
+    hilb._bracket.cache_clear()
+    short = ch_series(20, 2)
+    assert hilb._bracket.cache_info().misses == 2
+    assert short == ch_series(20, 12).truncate(2)
 
 
 def test_ch_series_validation():
