@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 from .exact import (BivarPoly, ExactError, LaurentPoly, QSeries,
                     euler_inverse_series, macmahon_series, qs_compose, qs_exp,
                     qs_log, qs_pow_int)
-from .fmcalc import (FMExpr, Insertion, dilaton_step, reduce_pure_tilde,
-                     tn_integral)
+from .fmcalc import reduce_pure_tilde, tn_integral
 from .hilb import (FixedPointData, LocalizationError, Partition, ch_value,
                    enumerate_partitions, fixed_point_data, hilb_integral,
                    hilb_integral_via_limit, tangent_weights, taut_weights)
@@ -27,7 +26,7 @@ __all__ = [
     "BivarPoly", "ExactError", "LaurentPoly", "QSeries",
     "euler_inverse_series", "macmahon_series",
     "qs_compose", "qs_exp", "qs_log", "qs_pow_int",
-    "FMExpr", "Insertion", "dilaton_step", "reduce_pure_tilde", "tn_integral",
+    "reduce_pure_tilde", "tn_integral",
     "FixedPointData", "LocalizationError", "Partition",
     "ch_value", "enumerate_partitions", "fixed_point_data", "hilb_integral",
     "hilb_integral_via_limit", "tangent_weights", "taut_weights",

@@ -28,7 +28,14 @@ from .wallx import ch_series, dt_identity_check, euler_series_closed, euler_seri
 
 
 class UsageError(Exception):
-    """A flag value is out of range."""
+    """A flag is missing, malformed or out of range."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's errors as UsageError; subparsers inherit this."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _laurent_json(p: LaurentPoly) -> dict:
@@ -150,7 +157,7 @@ def _cmd_verify(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hilbwall",
         description="Exact equivariant tautological integrals on Hilbert "
                     "schemes of points of the plane, and their wall-crossing "
@@ -219,11 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed a diagnostic
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         fields, result, text, *code = args.fn(args)
         if args.format == "json":

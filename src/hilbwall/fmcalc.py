@@ -15,23 +15,22 @@ recursion tested in the verification suite.  The one-end contributions
 reach these integrals through the substitution u -> -psi1, which
 :func:`hilbwall.wallx.ch_series` applies where it sums over the T_N.
 
-Second, the dilaton step for brackets of psi and psi-tilde insertions on
-the full Fulton-MacPherson space of a d-dimensional variety, with the top
-Chern class of the variety kept as the formal symbol c_d: a trailing bare
-psi-tilde insertion comes off as the factor (-1)^d * (c_d - n), n the
-number of remaining insertions.  Values are
-:class:`~hilbwall.exact.LaurentPoly` polynomials in the variable ``c{d}``
-(c1, c2 or c3), so polynomials of different dimensions never mix.  The
-empty bracket is 1.
+Second, the dilaton reduction of pure psi-tilde brackets on the full
+Fulton-MacPherson space of a d-dimensional variety, with the top Chern
+class of the variety kept as the formal symbol c_d: each bare psi-tilde
+insertion comes off as the factor (-1)^d * (c_d - m), m the number of
+insertions left after it, so k of them give a falling factorial in c_d.
+Values are :class:`~hilbwall.exact.LaurentPoly` polynomials in the
+variable ``c{d}`` (c1, c2 or c3), so polynomials of different dimensions
+never mix.  The empty bracket is 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
 
-from .exact import ExactError, LaurentPoly
+from .exact import LaurentPoly
 
 
 def tn_integral(n: int, a: int, b: int) -> Fraction:
@@ -45,64 +44,16 @@ def tn_integral(n: int, a: int, b: int) -> Fraction:
     return Fraction((-1) ** ceil(a / 2) * comb(n - 2, a // 2))
 
 
-@dataclass(frozen=True)
-class Insertion:
-    """One bracket slot: an optional tilde and a psi power."""
-
-    has_tilde: bool = False
-    psi_power: int = 0
-
-    def __post_init__(self):
-        if self.psi_power < 0:
-            raise ValueError("psi power must be nonnegative")
-
-
-TILDE = Insertion(has_tilde=True)
-
-
-@dataclass(frozen=True)
-class FMExpr:
-    """A formal bracket of insertions on the Fulton-MacPherson space of a
-    d-dimensional variety."""
-
-    d: int
-    insertions: tuple[Insertion, ...] = ()
-
-    def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise ValueError("dimension must be 1, 2 or 3")
-        object.__setattr__(self, "insertions", tuple(self.insertions))
-
-    @property
-    def bracket_size(self) -> int:
-        return len(self.insertions)
-
-
-def dilaton_step(e: FMExpr) -> tuple[LaurentPoly, FMExpr]:
-    """Remove a trailing bare tilde insertion.
-
-    The last insertion must be exactly (tilde, psi^0); it comes off as the
-    factor (-1)^d * (c_d - n) with n the size of the reduced bracket.
-    """
-    if not e.insertions:
-        raise ExactError("dilaton not applicable: empty bracket")
-    last = e.insertions[-1]
-    if last != TILDE:
-        raise ExactError("dilaton not applicable: last insertion is not a bare tilde")
-    n = e.bracket_size - 1
-    sign = (-1) ** e.d
-    factor = LaurentPoly(f"c{e.d}", {1: sign, 0: -sign * n})
-    return factor, FMExpr(e.d, e.insertions[:-1])
-
-
 def reduce_pure_tilde(k: int, d: int) -> LaurentPoly:
-    """Value of the bracket of k bare tilde insertions, by repeated dilaton
-    steps down to the empty bracket (which is 1)."""
+    """Value of the bracket of k bare tilde insertions on the FM space of a
+    d-dimensional variety: the product of the dilaton factors
+    (-1)^d * (c_d - m) for m = k-1 .. 0, down to the empty bracket 1."""
+    if d not in (1, 2, 3):
+        raise ValueError("dimension must be 1, 2 or 3")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    expr = FMExpr(d, (TILDE,) * k)
+    sign = (-1) ** d
     value = LaurentPoly.constant(1, f"c{d}")
-    while expr.bracket_size:
-        factor, expr = dilaton_step(expr)
-        value = value * factor
+    for m in range(k - 1, -1, -1):
+        value = value * LaurentPoly(f"c{d}", {1: sign, 0: -sign * m})
     return value

@@ -24,9 +24,9 @@ vanishes) the Euler class is eps^P times the product of the pole slopes b
 times the non-pole factors (a+b) + b*eps; the numerator prod k_i! ch_{k_i}
 is the box sum of (-(c+r) - r*eps)^k, multiplied out.  Both are known
 through eps^P, and one power-series division, the only rational step,
-gives the contribution to eps^-P .. eps^0.  The sum over all partitions is regular at eps = 0;
-surviving negative powers signal a convention bug and raise
-:class:`LocalizationError`.
+gives the contribution to eps^-P .. eps^0.  The sum over all partitions
+is regular at eps = 0; surviving negative powers signal a convention bug
+and raise :class:`LocalizationError`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Union
+from typing import Iterable
 
 from .exact import BivarPoly, ExactError, LaurentPoly
 
@@ -65,21 +65,8 @@ class Partition:
         conj = tuple(sum(1 for p in self.parts if p > c) for c in range(cols))
         return Partition(conj)
 
-    def boxes(self) -> list[tuple[int, int]]:
-        """All boxes (row, col), row-major order."""
-        return [(r, c) for r, p in enumerate(self.parts) for c in range(p)]
-
     def __str__(self):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-PartitionLike = Union[Partition, Iterable[int]]
-
-
-def _as_partition(lam: PartitionLike) -> Partition:
-    if isinstance(lam, Partition):
-        return lam
-    return Partition(tuple(lam))
 
 
 def normalize_insertions(ks: Iterable[int]) -> tuple[int, ...]:
@@ -109,13 +96,12 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return out
 
 
-def tangent_weights(lam: PartitionLike) -> list[tuple[int, int]]:
+def tangent_weights(lam: Partition) -> list[tuple[int, int]]:
     """Tangent weights at the fixed point of ``lam``, as (t1, t2) coefficient pairs.
 
     Each box contributes the hook pair (a+1, -l) and (-a, l+1); see the
     module docstring for how this pairing is pinned.
     """
-    lam = _as_partition(lam)
     out: list[tuple[int, int]] = []
     conj = lam.conjugate().parts
     for r, p in enumerate(lam.parts):
@@ -127,17 +113,15 @@ def tangent_weights(lam: PartitionLike) -> list[tuple[int, int]]:
     return out
 
 
-def taut_weights(lam: PartitionLike) -> list[tuple[int, int]]:
+def taut_weights(lam: Partition) -> list[tuple[int, int]]:
     """Monomial weights (c, r) of the tautological fiber, one per box."""
-    lam = _as_partition(lam)
-    return [(c, r) for (r, c) in lam.boxes()]
+    return [(c, r) for r, p in enumerate(lam.parts) for c in range(p)]
 
 
 @dataclass(frozen=True)
 class FixedPointData:
     """Cached weight data of one torus-fixed point."""
 
-    partition: Partition
     tangent: tuple[tuple[int, int], ...]
     taut: tuple[tuple[int, int], ...]
 
@@ -145,11 +129,11 @@ class FixedPointData:
 @lru_cache(maxsize=None)
 def _fixed_point_data(parts: tuple[int, ...]) -> FixedPointData:
     lam = Partition(parts)
-    return FixedPointData(lam, tuple(tangent_weights(lam)), tuple(taut_weights(lam)))
+    return FixedPointData(tuple(tangent_weights(lam)), tuple(taut_weights(lam)))
 
 
-def fixed_point_data(lam: PartitionLike) -> FixedPointData:
-    return _fixed_point_data(_as_partition(lam).parts)
+def fixed_point_data(lam: Partition) -> FixedPointData:
+    return _fixed_point_data(lam.parts)
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +152,7 @@ def _ch_value(parts: tuple[int, ...], k: int) -> BivarPoly:
     return total
 
 
-def ch_value(lam: PartitionLike, k: int) -> BivarPoly:
+def ch_value(lam: Partition, k: int) -> BivarPoly:
     """Chern character component ch_k of the tautological bundle at ``lam``.
 
     Equals sum over boxes of (-(c*t1 + r*t2))^k / k!, with the dual sign
@@ -176,7 +160,7 @@ def ch_value(lam: PartitionLike, k: int) -> BivarPoly:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _ch_value(_as_partition(lam).parts, int(k))
+    return _ch_value(lam.parts, int(k))
 
 
 def _pole_count(data: FixedPointData) -> int:
@@ -231,8 +215,9 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> LaurentPoly:
     """Integral of prod_i ch_{k_i} over the n-point Hilbert scheme of the
     plane, equivariant for the diagonal torus, as a Laurent polynomial in t.
 
-    The empty insertion list gives 1/(n! t^(2n)).  The last BRACKET_CACHE_SIZE brackets are memoized, so callers share
-    the returned value (no LaurentPoly operation mutates its operands).
+    The empty insertion list gives 1/(n! t^(2n)).  The last
+    BRACKET_CACHE_SIZE brackets are memoized, so callers share the returned
+    value (no LaurentPoly operation mutates its operands).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -52,8 +52,6 @@ def nonpolar_ifunction(n: int, ks: Iterable[int] = ()) -> UMonomial:
     Zero exactly when the bracket vanishes or K < 2n - 2 (the exponent
     K - 2n + 2 would be negative, leaving only polar terms).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     ks = normalize_insertions(ks)
     bracket = hilb_integral(n, ks)
     if bracket.is_zero():

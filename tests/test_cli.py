@@ -122,6 +122,19 @@ def test_unknown_command_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["hilb-integral", "--n", "abc"],
+    ["hilb-integral"],
+    [],
+    ["frobnicate"],
+    ["partitions", "--n", "3", "--format", "xml"],
+], ids=["bad-int", "missing-flag", "no-command", "unknown-command", "bad-choice"])
+def test_flag_error_prints_one_line(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_verify_cli_wiring_pass(monkeypatch, capsys):
     from hilbwall import cli as climod
     from hilbwall.verify import CheckResult

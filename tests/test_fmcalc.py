@@ -4,8 +4,7 @@ from math import comb, factorial
 import pytest
 
 from hilbwall.exact import ExactError, LaurentPoly
-from hilbwall.fmcalc import (TILDE, FMExpr, Insertion, dilaton_step,
-                             reduce_pure_tilde, tn_integral)
+from hilbwall.fmcalc import reduce_pure_tilde, tn_integral
 
 
 def c_(dim, coeffs):
@@ -55,30 +54,20 @@ def test_tn_integral_validation():
         tn_integral(3, -1, 4)
 
 
-# --- dilaton rewrite ---------------------------------------------------------------
+# --- dilaton steps ---------------------------------------------------------------
 
 def test_dilaton_step_examples():
-    factor, reduced = dilaton_step(FMExpr(2, (TILDE,)))
-    assert factor == c_(2, {1: 1})
-    assert reduced == FMExpr(2, ())
-
-    factor, reduced = dilaton_step(FMExpr(1, (TILDE, TILDE)))
-    assert factor == c_(1, {1: -1, 0: 1})  # -(c1 - 1)
-    assert reduced == FMExpr(1, (TILDE,))
-
-    psi2 = Insertion(False, 2)
-    factor, reduced = dilaton_step(FMExpr(3, (psi2, TILDE)))
-    assert factor == c_(3, {1: -1, 0: 1})  # -(c3 - 1)
-    assert reduced == FMExpr(3, (psi2,))
+    assert reduce_pure_tilde(1, 2) == c_(2, {1: 1})
+    # the factors -c1 and -(c1 - 1)
+    assert reduce_pure_tilde(2, 1) == c_(1, {2: 1, 1: -1})
 
 
-def test_dilaton_not_applicable():
-    with pytest.raises(ExactError):
-        dilaton_step(FMExpr(2, (Insertion(),)))
-    with pytest.raises(ExactError):
-        dilaton_step(FMExpr(2, (Insertion(True, 1),)))
-    with pytest.raises(ExactError):
-        dilaton_step(FMExpr(2, ()))
+def test_reduce_pure_tilde_validation():
+    for d in (0, 4):
+        with pytest.raises(ValueError):
+            reduce_pure_tilde(1, d)
+    with pytest.raises(ValueError):
+        reduce_pure_tilde(-1, 2)
 
 
 # --- pure tilde closure ----------------------------------------------------------

@@ -199,6 +199,8 @@ def test_multi_insertion_values_against_limit_oracle():
 def test_input_validation():
     with pytest.raises(ValueError):
         hilb_integral(0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        nonpolar_ifunction(0, [2])  # the check is hilb_integral's
     with pytest.raises(ValueError):
         hilb_integral(2, [-1])
     with pytest.raises(ValueError):
