@@ -107,12 +107,15 @@ def _cmd_tn(args):
 
 
 def _cmd_ch_series(args):
-    if args.k is None or args.k < 0:
+    if len(args.k) != 1:
+        raise UsageError("--k must be given exactly once")
+    k, = args.k
+    if k < 0:
         raise UsageError("--k must be >= 0")
     if args.order < 1:
         raise UsageError("--order must be >= 1")
-    series = ch_series(args.k, args.order)
-    query = {"k": args.k, "order": args.order}
+    series = ch_series(k, args.order)
+    query = {"k": k, "order": args.order}
     return query, _series_json(series), _series_table(series)
 
 
@@ -197,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_tn)
 
     p = sub.add_parser("ch-series", help="generating series of the ch_k brackets")
-    p.add_argument("--k", "--ch", dest="k", type=int, required=True)
+    p.add_argument("--k", "--ch", dest="k", type=int, action="append", required=True)
     p.add_argument("--order", type=int, required=True)
     common(p)
     p.set_defaults(fn=_cmd_ch_series)

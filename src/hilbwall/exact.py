@@ -10,7 +10,8 @@ map ``(e1, e2) -> Fraction`` with nonnegative exponents, used by the
 rational-limit cross-check of the localization kernel.  :class:`QSeries` is
 a power series in q known through an explicit order, with Fraction or
 Laurent-polynomial coefficients; two series are equal only when their
-orders agree.
+orders agree.  Integer powers, exponentials and logarithms of rational
+series are one-pass coefficient recurrences, with no series products.
 
 The zero polynomial has an empty term map; constructors prune zero
 coefficients.  Canonical rendering sorts terms by ascending exponent and
@@ -290,7 +291,7 @@ class QSeries:
     Coefficients live in any exact ring with +, * and scalar division
     (Fractions or Laurent polynomials in t here).  The order of a binary
     result is the minimum of the operand orders.  Equality requires equal
-    orders; compare a prefix by truncating first.
+    orders; compare a prefix by slicing, ``QSeries(s.coeffs[:k + 1])``.
     """
 
     __slots__ = ("coeffs",)
@@ -317,11 +318,6 @@ class QSeries:
         if n > self.order:
             raise ExactError(f"q^{n} is beyond the truncation order")
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise ExactError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: order + 1])
 
     def negate_q(self) -> "QSeries":
         """Substitute q -> -q."""
@@ -367,76 +363,47 @@ class QSeries:
         return f"QSeries({self.coeffs!r})"
 
 
-def qs_inverse(s: QSeries) -> QSeries:
-    """Multiplicative inverse of a series with rational, nonzero constant term."""
-    c0 = _frac(s.coeffs[0])
-    if c0 == 0:
-        raise ExactError("cannot invert zero")
-    inv0 = 1 / c0
-    out = [inv0]
+# Recurrence sums start at Fraction(0), so an empty sum divided by n stays exact.
+def qs_pow_int(s: QSeries, c: int) -> QSeries:
+    """Integer power c, negative ones included, of a series with a nonzero
+    rational constant term, by J.C.P. Miller's recurrence f_0 = s_0^c,
+    n*s_0*f_n = sum_{j=1..n} ((c+1)j - n) s_j f_{n-j}.  A zero constant term
+    raises ExactError even for c >= 0; no caller passes one."""
+    if not isinstance(c, int):
+        raise ExactError("series power must be an integer")
+    s0 = _frac(s.coeffs[0])
+    if s0 == 0:
+        raise ExactError("qs_pow_int requires a nonzero constant term")
+    out = [s0 ** c]
     for n in range(1, s.order + 1):
-        acc = s.coeffs[1] * out[n - 1]
-        for i in range(2, n + 1):
-            acc = acc + s.coeffs[i] * out[n - i]
-        out.append(-(acc * inv0))
+        acc = sum((((c + 1) * j - n) * s.coeffs[j] * out[n - j]
+                   for j in range(1, n + 1)), Fraction(0))
+        out.append(acc / (n * s0))
     return QSeries(out)
 
 
-def qs_pow_int(s: QSeries, c: int) -> QSeries:
-    """Integer power of a series; negative powers go through qs_inverse."""
-    if not isinstance(c, int):
-        raise ExactError("series power must be an integer")
-    if c < 0:
-        return qs_pow_int(qs_inverse(s), -c)
-    result = QSeries([Fraction(1)] + [Fraction(0)] * s.order)
-    base = s
-    n = c
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
-
-
 def qs_exp(s: QSeries) -> QSeries:
-    """Exponential of a series with zero constant term."""
+    """Exponential of a series with zero constant term:
+    n*E_n = sum_{j=1..n} j s_j E_{n-j}."""
     if s.coeffs[0] != 0:
         raise ExactError("qs_exp requires constant term 0")
-    order = s.order
-    result = QSeries([Fraction(1)] + [Fraction(0)] * order)
-    term = result
-    for k in range(1, order + 1):
-        term = (term * s) * Fraction(1, k)
-        result = result + term
-    return result
+    out = [Fraction(1)]
+    for n in range(1, s.order + 1):
+        acc = sum((j * s.coeffs[j] * out[n - j] for j in range(1, n + 1)), Fraction(0))
+        out.append(acc / n)
+    return QSeries(out)
 
 
 def qs_log(s: QSeries) -> QSeries:
-    """Logarithm of a series with constant term 1."""
+    """Logarithm of a series with constant term 1:
+    n*L_n = n*s_n - sum_{j=1..n-1} j L_j s_{n-j}."""
     if s.coeffs[0] != 1:
         raise ExactError("qs_log requires constant term 1")
-    order = s.order
-    x = s - QSeries([Fraction(1)] + [Fraction(0)] * order)
-    result = QSeries([Fraction(0)] * (order + 1))
-    power = QSeries([Fraction(1)] + [Fraction(0)] * order)
-    for k in range(1, order + 1):
-        power = power * x
-        result = result + power * Fraction((-1) ** (k + 1), k)
-    return result
-
-
-def qs_compose(outer: QSeries, inner: QSeries) -> QSeries:
-    """Substitute ``inner`` (constant term 0) into ``outer``."""
-    if inner.coeffs[0] != 0:
-        raise ExactError("qs_compose requires inner constant term 0")
-    order = min(outer.order, inner.order)
-    result = QSeries([Fraction(0)] * (order + 1))
-    for k in range(order, -1, -1):
-        result = result * inner.truncate(order)
-        result = result + QSeries([outer.coeffs[k]] + [Fraction(0)] * order)
-    return result
+    out = [Fraction(0)]
+    for n in range(1, s.order + 1):
+        acc = sum((j * out[j] * s.coeffs[n - j] for j in range(1, n)), Fraction(0))
+        out.append((n * s.coeffs[n] - acc) / n)
+    return QSeries(out)
 
 
 def euler_inverse_series(order: int) -> QSeries:

@@ -128,7 +128,10 @@ def test_unknown_command_exits_2(capsys):
     [],
     ["frobnicate"],
     ["partitions", "--n", "3", "--format", "xml"],
-], ids=["bad-int", "missing-flag", "no-command", "unknown-command", "bad-choice"])
+    ["ch-series", "--k", "2", "--k", "3", "--order", "4"],
+    ["ch-series", "--ch", "2", "--k", "3", "--order", "4"],
+], ids=["bad-int", "missing-flag", "no-command", "unknown-command", "bad-choice",
+        "repeated-k", "repeated-k-alias"])
 def test_flag_error_prints_one_line(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""

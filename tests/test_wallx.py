@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from hilbwall import hilb
+from hilbwall import hilb, wallx
 from hilbwall.exact import LaurentPoly, QSeries
 from hilbwall.hilb import hilb_integral
 from hilbwall.wallx import (ch_series, dt_identity_check, euler_series_closed,
@@ -125,7 +125,7 @@ def test_ch_series_skips_seeds_beyond_the_order():
     hilb._bracket.cache_clear()
     short = ch_series(20, 2)
     assert hilb._bracket.cache_info().misses == 2
-    assert short == ch_series(20, 12).truncate(2)
+    assert short == QSeries(ch_series(20, 12).coeffs[:3])
 
 
 def test_ch_series_validation():
@@ -156,6 +156,19 @@ def test_euler_wc_equals_closed():
     for d in (1, 2):
         for c in range(-4, 5):
             assert euler_series_wc(d, c, 14) == euler_series_closed(d, c, 14)
+
+
+def test_euler_wc_calls_no_series_routine(monkeypatch):
+    # checks 5-6 compare the wall-crossing sum with the closed form, so the
+    # sum must not reach the power, exp or log routines behind the closed form
+    closed = {d: euler_series_closed(d, -3, 20) for d in (1, 2)}
+
+    def forbidden(*args):
+        raise AssertionError("wall-crossing side reached a qs_* routine")
+    for name in ("qs_pow_int", "qs_exp", "qs_log"):
+        monkeypatch.setattr(wallx, name, forbidden)
+    for d in (1, 2):
+        assert euler_series_wc(d, -3, 20) == closed[d]
 
 
 def test_euler_validation():
