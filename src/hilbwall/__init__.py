@@ -9,9 +9,8 @@ the conventions in force.
 
 __version__ = "0.1.0"
 
-from .exact import (BivarPoly, ExactError, LaurentPoly, QSeries,
-                    euler_inverse_series, macmahon_series, qs_exp, qs_log,
-                    qs_pow_int)
+from .exact import (BivarPoly, ExactError, LaurentPoly, euler_inverse_series,
+                    macmahon_series, qs_exp, qs_log, qs_pow_int)
 from .fmcalc import reduce_pure_tilde, tn_integral
 from .hilb import (FixedPointData, LocalizationError, Partition, ch_value,
                    enumerate_partitions, fixed_point_data, hilb_integral,
@@ -23,7 +22,7 @@ from .wallx import (FullCrossingTerm, WallTerm, ch_series, dt_identity_check,
 
 __all__ = [
     "__version__",
-    "BivarPoly", "ExactError", "LaurentPoly", "QSeries",
+    "BivarPoly", "ExactError", "LaurentPoly",
     "euler_inverse_series", "macmahon_series",
     "qs_exp", "qs_log", "qs_pow_int",
     "reduce_pure_tilde", "tn_integral",

@@ -19,12 +19,17 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .exact import ExactError, LaurentPoly, QSeries
+from .exact import ExactError, LaurentPoly
 from .fmcalc import tn_integral
 from .hilb import enumerate_partitions, hilb_integral
 from .ifun import nonpolar_ifunction
 from .verify import run_all_checks
 from .wallx import ch_series, dt_identity_check, euler_series_closed, euler_series_wc
+
+
+# partitions of n grow like exp(pi sqrt(2n/3)): n = 40 has 37,338 and the
+# bracket at n = 34 already takes seconds
+MAX_N = 40
 
 
 class UsageError(Exception):
@@ -45,9 +50,9 @@ def _laurent_json(p: LaurentPoly) -> dict:
     }
 
 
-def _series_json(s: QSeries) -> dict:
+def _series_json(s: list) -> dict:
     coefficients = []
-    for c in s.coeffs:
+    for c in s:
         if isinstance(c, LaurentPoly):
             coefficients.append(_laurent_json(c)["terms"])
         else:
@@ -56,8 +61,8 @@ def _series_json(s: QSeries) -> dict:
     return {"variable": "q", "coefficients": coefficients}
 
 
-def _series_table(s: QSeries) -> str:
-    return "\n".join(f"q^{n}: {c}" for n, c in enumerate(s.coeffs))
+def _series_table(s: list) -> str:
+    return "\n".join(f"q^{n}: {c}" for n, c in enumerate(s))
 
 
 # Each _cmd_* validates its flags, computes, and returns the query fields,
@@ -67,6 +72,8 @@ def _series_table(s: QSeries) -> str:
 def _cmd_partitions(args):
     if args.n < 0:
         raise UsageError("--n must be >= 0")
+    if args.n > MAX_N:
+        raise UsageError(f"--n must be <= {MAX_N}")
     parts = enumerate_partitions(args.n)
     result = {"count": len(parts), "partitions": [list(p.parts) for p in parts]}
     lines = [",".join(str(x) for x in p.parts) if p.parts else "(empty)"
@@ -78,6 +85,8 @@ def _bracket_flags(args) -> list[int]:
     """Validate the --n and --ch flags of hilb-integral and ifunction."""
     if args.n < 1:
         raise UsageError("--n must be >= 1")
+    if args.n > MAX_N:
+        raise UsageError(f"--n must be <= {MAX_N}")
     ks = sorted(args.ch or [])
     if any(k < 0 for k in ks):
         raise UsageError("--ch must be >= 0")
@@ -229,6 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
+    # an exact calculator prints its numbers in full, however many digits
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help and --version

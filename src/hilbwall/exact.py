@@ -7,11 +7,13 @@ a variable symbol (t for brackets, u = t + z for one-end contributions,
 and c1, c2, c3 for polynomials in the formal top Chern class c_d of the
 Fulton-MacPherson calculus); a bivariate polynomial in (t1, t2) is a
 map ``(e1, e2) -> Fraction`` with nonnegative exponents, used by the
-rational-limit cross-check of the localization kernel.  :class:`QSeries` is
-a power series in q known through an explicit order, with Fraction or
-Laurent-polynomial coefficients; two series are equal only when their
-orders agree.  Integer powers, exponentials and logarithms of rational
-series are one-pass coefficient recurrences, with no series products.
+rational-limit cross-check of the localization kernel.  A power series
+in q is a plain list: the q^n coefficient sits at index n, the series is
+known through order ``len - 1``, and two series are equal only when their
+lists are, so a truncated series never equals a longer one.  Partition
+and plane-partition counts are int lists; integer powers, exponentials
+and logarithms of rational series are one-pass coefficient recurrences
+that return Fraction lists, with no series products.
 
 The zero polynomial has an empty term map; constructors prune zero
 coefficients.  Canonical rendering sorts terms by ascending exponent and
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 Scalar = Union[int, Fraction]
 
@@ -285,128 +287,50 @@ class BivarPoly:
         return f"BivarPoly({self.terms!r})"
 
 
-class QSeries:
-    """Power series in q truncated at a known order.
-
-    Coefficients live in any exact ring with +, * and scalar division
-    (Fractions or Laurent polynomials in t here).  The order of a binary
-    result is the minimum of the operand orders.  Equality requires equal
-    orders; compare a prefix by slicing, ``QSeries(s.coeffs[:k + 1])``.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable):
-        coeffs = list(coeffs)
-        if not coeffs:
-            raise ExactError("a QSeries needs at least the q^0 coefficient")
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_terms(cls, order: int, terms: Mapping[int, Scalar]) -> "QSeries":
-        out = [Fraction(0)] * (order + 1)
-        for n, c in terms.items():
-            if 0 <= n <= order:
-                out[n] = _frac(c)
-        return cls(out)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, n: int):
-        if n > self.order:
-            raise ExactError(f"q^{n} is beyond the truncation order")
-        return self.coeffs[n]
-
-    def negate_q(self) -> "QSeries":
-        """Substitute q -> -q."""
-        return QSeries([c if n % 2 == 0 else -c for n, c in enumerate(self.coeffs)])
-
-    def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        m = min(self.order, other.order)
-        return QSeries([self.coeffs[i] + other.coeffs[i] for i in range(m + 1)])
-
-    def __neg__(self):
-        return QSeries([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QSeries([c * other for c in self.coeffs])
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        m = min(self.order, other.order)
-        out = []
-        for n in range(m + 1):
-            acc = None
-            for i in range(n + 1):
-                term = self.coeffs[i] * other.coeffs[n - i]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return QSeries(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"QSeries({self.coeffs!r})"
-
-
 # Recurrence sums start at Fraction(0), so an empty sum divided by n stays exact.
-def qs_pow_int(s: QSeries, c: int) -> QSeries:
+def qs_pow_int(s: list, c: int) -> list:
     """Integer power c, negative ones included, of a series with a nonzero
     rational constant term, by J.C.P. Miller's recurrence f_0 = s_0^c,
     n*s_0*f_n = sum_{j=1..n} ((c+1)j - n) s_j f_{n-j}.  A zero constant term
     raises ExactError even for c >= 0; no caller passes one."""
     if not isinstance(c, int):
         raise ExactError("series power must be an integer")
-    s0 = _frac(s.coeffs[0])
+    s0 = _frac(s[0])
     if s0 == 0:
         raise ExactError("qs_pow_int requires a nonzero constant term")
     out = [s0 ** c]
-    for n in range(1, s.order + 1):
-        acc = sum((((c + 1) * j - n) * s.coeffs[j] * out[n - j]
+    for n in range(1, len(s)):
+        acc = sum((((c + 1) * j - n) * s[j] * out[n - j]
                    for j in range(1, n + 1)), Fraction(0))
         out.append(acc / (n * s0))
-    return QSeries(out)
+    return out
 
 
-def qs_exp(s: QSeries) -> QSeries:
+def qs_exp(s: list) -> list:
     """Exponential of a series with zero constant term:
     n*E_n = sum_{j=1..n} j s_j E_{n-j}."""
-    if s.coeffs[0] != 0:
+    if s[0] != 0:
         raise ExactError("qs_exp requires constant term 0")
     out = [Fraction(1)]
-    for n in range(1, s.order + 1):
-        acc = sum((j * s.coeffs[j] * out[n - j] for j in range(1, n + 1)), Fraction(0))
+    for n in range(1, len(s)):
+        acc = sum((j * s[j] * out[n - j] for j in range(1, n + 1)), Fraction(0))
         out.append(acc / n)
-    return QSeries(out)
+    return out
 
 
-def qs_log(s: QSeries) -> QSeries:
+def qs_log(s: list) -> list:
     """Logarithm of a series with constant term 1:
     n*L_n = n*s_n - sum_{j=1..n-1} j L_j s_{n-j}."""
-    if s.coeffs[0] != 1:
+    if s[0] != 1:
         raise ExactError("qs_log requires constant term 1")
     out = [Fraction(0)]
-    for n in range(1, s.order + 1):
-        acc = sum((j * out[j] * s.coeffs[n - j] for j in range(1, n)), Fraction(0))
-        out.append((n * s.coeffs[n] - acc) / n)
-    return QSeries(out)
+    for n in range(1, len(s)):
+        acc = sum((j * out[j] * s[n - j] for j in range(1, n)), Fraction(0))
+        out.append((n * s[n] - acc) / n)
+    return out
 
 
-def euler_inverse_series(order: int) -> QSeries:
+def euler_inverse_series(order: int) -> list[int]:
     """The Euler product inverse prod_{m>=1} (1 - q^m)^(-1).
 
     The q^n coefficient is the number of partitions of n; computed by the
@@ -419,10 +343,10 @@ def euler_inverse_series(order: int) -> QSeries:
     for m in range(1, order + 1):
         for i in range(m, order + 1):
             counts[i] += counts[i - m]
-    return QSeries([Fraction(c) for c in counts])
+    return counts
 
 
-def macmahon_series(order: int) -> QSeries:
+def macmahon_series(order: int) -> list[int]:
     """The MacMahon function prod_{m>=1} (1 - q^m)^(-m).
 
     The q^n coefficient counts plane partitions of n.  Each factor
@@ -436,4 +360,4 @@ def macmahon_series(order: int) -> QSeries:
         for _ in range(m):
             for i in range(m, order + 1):
                 counts[i] += counts[i - m]
-    return QSeries([Fraction(c) for c in counts])
+    return counts

@@ -1,11 +1,12 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from hilbwall.cli import run
-from hilbwall.exact import ExactError
-from hilbwall.hilb import LocalizationError
+from hilbwall.exact import ExactError, LaurentPoly
+from hilbwall.hilb import LocalizationError, hilb_integral
 
 
 def invoke(capsys, *argv):
@@ -130,12 +131,26 @@ def test_unknown_command_exits_2(capsys):
     ["partitions", "--n", "3", "--format", "xml"],
     ["ch-series", "--k", "2", "--k", "3", "--order", "4"],
     ["ch-series", "--ch", "2", "--k", "3", "--order", "4"],
+    ["partitions", "--n", "41"],
+    ["hilb-integral", "--n", "41"],
 ], ids=["bad-int", "missing-flag", "no-command", "unknown-command", "bad-choice",
-        "repeated-k", "repeated-k-alias"])
+        "repeated-k", "repeated-k-alias", "partitions-n-too-large",
+        "hilb-n-too-large"])
 def test_flag_error_prints_one_line(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_long_exact_values_print_in_full(capsys):
+    # the coefficient has more digits than CPython's default int-to-str limit
+    code, out, err = invoke(capsys, "hilb-integral", "--n", "3", "--ch", "2000",
+                            "--format", "json")
+    assert code == 0 and err == ""
+    (term,) = json.loads(out)["result"]["terms"]
+    assert len(term["coeff"]) > 4300
+    got = LaurentPoly.monomial("t", term["exp"], Fraction(term["coeff"]))
+    assert got == hilb_integral(3, [2000])
 
 
 def test_verify_cli_wiring_pass(monkeypatch, capsys):
@@ -245,6 +260,19 @@ BYTE_STABLE = [
      '9160780d5c504b1c6e70039d6782e0de65a7dc60e0eaf55356ff930d2619bc6b'),
     ('dt-check --c -6 --order 16', 'json', 0, '',
      '4a373786d1dea72f6e003d6cd00f67d098a7abc3792a1256e6ec3520ff5b4b0e'),
+    # the orders the series benchmark workload runs
+    ('euler --d 1 --c -6 --order 60 --check', 'table', 0, '',
+     '05341bb508627a46a7feb11e9f742082b8eb201f698eed8099f75b438ec13c85'),
+    ('euler --d 1 --c -6 --order 60 --check', 'json', 0, '',
+     '856c4a015a0960d0a3391d5966e949a16e87799d33226b780fad8214c448eb07'),
+    ('euler --d 2 --c 24 --order 60 --check', 'table', 0, '',
+     'cad55fb88b975dab5f8766599ad3532f40de2ce3d17fdc379adee3abdbb383ca'),
+    ('euler --d 2 --c 24 --order 60 --check', 'json', 0, '',
+     'cf92dc0ef9f3aa102278335cd4ae25eb46ff9801fe8565e05497ee3bce4047e7'),
+    ('dt-check --c 5 --order 40', 'table', 0, '',
+     '9160780d5c504b1c6e70039d6782e0de65a7dc60e0eaf55356ff930d2619bc6b'),
+    ('dt-check --c 5 --order 40', 'json', 0, '',
+     '3c389bbf9ddde5bbaf753a01d6cfc112b5f3b762787c803d5d69262afcd7db05'),
     ('hilb-integral --n 0', 'table', 2, 'error: --n must be >= 1\n',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('hilb-integral --n 0', 'json', 2, 'error: --n must be >= 1\n',

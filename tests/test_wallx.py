@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from hilbwall import hilb, wallx
-from hilbwall.exact import LaurentPoly, QSeries
+from hilbwall.exact import LaurentPoly
 from hilbwall.hilb import hilb_integral
 from hilbwall.wallx import (ch_series, dt_identity_check, euler_series_closed,
                             euler_series_wc, expand_full_crossing,
@@ -90,19 +90,19 @@ def test_full_crossing_with_insertion():
 
 def test_ch_series_matches_closed_form_k2():
     s = ch_series(2, 6)
-    assert s.coefficient(0).is_zero()
-    assert s.coefficient(1).is_zero()
+    assert s[0].is_zero()
+    assert s[1].is_zero()
     for n in range(2, 7):
-        assert s.coefficient(n) == mono(-2 * (n - 1), F(-1, 4 * factorial(n - 2)))
+        assert s[n] == mono(-2 * (n - 1), F(-1, 4 * factorial(n - 2)))
 
 
 def test_ch_series_spot_values():
-    assert ch_series(3, 2).coefficient(2) == mono(-1, F(1, 6))
+    assert ch_series(3, 2)[2] == mono(-1, F(1, 6))
     s4 = ch_series(4, 5)
-    assert s4.coefficient(2) == mono(0, F(-1, 16))
-    assert s4.coefficient(3) == mono(-2, F(-5, 144))
+    assert s4[2] == mono(0, F(-1, 16))
+    assert s4[3] == mono(-2, F(-5, 144))
     # q^5: 2/(16*3!) - 5/(144*2!) = 1/48 - 5/288 = 1/288, all at t^-6
-    assert s4.coefficient(5) == mono(-6, F(1, 288))
+    assert s4[5] == mono(-6, F(1, 288))
 
 
 def test_ch_series_k0_counts_points():
@@ -110,14 +110,14 @@ def test_ch_series_k0_counts_points():
     # n/(n! t^2n) = 1/((n-1)! t^2n)
     s = ch_series(0, 5)
     for n in range(1, 6):
-        assert s.coefficient(n) == mono(-2 * n, F(1, factorial(n - 1)))
+        assert s[n] == mono(-2 * n, F(1, factorial(n - 1)))
 
 
 def test_ch_series_agrees_with_localization():
     for k in range(0, 7):
         s = ch_series(k, 6)
         for n in range(1, 7):
-            assert s.coefficient(n) == hilb_integral(n, [k]), (k, n)
+            assert s[n] == hilb_integral(n, [k]), (k, n)
 
 
 def test_ch_series_skips_seeds_beyond_the_order():
@@ -125,7 +125,7 @@ def test_ch_series_skips_seeds_beyond_the_order():
     hilb._bracket.cache_clear()
     short = ch_series(20, 2)
     assert hilb._bracket.cache_info().misses == 2
-    assert short == QSeries(ch_series(20, 12).coeffs[:3])
+    assert short == ch_series(20, 12)[:3]
 
 
 def test_ch_series_validation():
@@ -138,18 +138,17 @@ def test_ch_series_validation():
 # --- Euler-characteristic series ------------------------------------------------
 
 def test_euler_wc_examples():
-    s = euler_series_wc(1, 2, 4)
-    assert [s.coefficient(i) for i in range(5)] == [1, 2, 3, 4, 5]
-    assert euler_series_wc(2, 0, 6) == QSeries.from_terms(6, {0: 1})
-    assert euler_series_wc(2, 24, 1).coefficient(1) == 24
+    assert euler_series_wc(1, 2, 4) == [1, 2, 3, 4, 5]
+    assert euler_series_wc(2, 0, 6) == [1, 0, 0, 0, 0, 0, 0]
+    assert euler_series_wc(2, 24, 1) == [1, 24]
+    # the wall-crossing sum stays in integers, binomials included
+    assert all(type(x) is int for x in euler_series_wc(2, -5, 30))
 
 
 def test_euler_closed_examples():
-    s = euler_series_closed(1, -2, 2)
-    assert [s.coefficient(i) for i in range(3)] == [1, -2, 1]
-    s = euler_series_closed(2, 1, 6)
-    assert [s.coefficient(i) for i in range(7)] == [1, 1, 2, 3, 5, 7, 11]
-    assert euler_series_closed(1, 0, 4) == QSeries.from_terms(4, {0: 1})
+    assert euler_series_closed(1, -2, 2) == [1, -2, 1]
+    assert euler_series_closed(2, 1, 6) == [1, 1, 2, 3, 5, 7, 11]
+    assert euler_series_closed(1, 0, 4) == [1, 0, 0, 0, 0]
 
 
 def test_euler_wc_equals_closed():
