@@ -1,28 +1,29 @@
-"""Exact arithmetic kernels: rationals, sparse Laurent polynomials, and
-truncated power series in q.
+"""Exact arithmetic kernels: rationals, monomials, and truncated power
+series in q.
 
 Everything in this module is exact.  Rationals are ``fractions.Fraction``.
-A Laurent polynomial is a sparse map ``exponent -> Fraction`` together with
-a variable symbol (t for brackets, u = t + z for one-end contributions,
-and c1, c2, c3 for polynomials in the formal top Chern class c_d of the
-Fulton-MacPherson calculus); a bivariate polynomial in (t1, t2) is a
-map ``(e1, e2) -> Fraction`` with nonnegative exponents, used by the
-rational-limit cross-check of the localization kernel.  A power series
-in q is a plain list: the q^n coefficient sits at index n, the series is
-known through order ``len - 1``, and two series are equal only when their
-lists are, so a truncated series never equals a longer one.  Partition
-and plane-partition counts are int lists; integer powers, exponentials
-and logarithms of rational series are one-pass coefficient recurrences
-that return Fraction lists, with no series products.
+Every t- or u-valued result of the package is a single term
+``C * t^e`` (a bracket, a series coefficient) or ``C * u^e`` (a one-end
+contribution, u = t + z), so the one value type is :class:`Monomial`; a
+bivariate polynomial in (t1, t2) is a map ``(e1, e2) -> Fraction`` with
+nonnegative exponents, used by the rational-limit cross-check of the
+localization kernel.  A power series in q is a plain list: the q^n
+coefficient sits at index n, the series is known through order
+``len - 1``, and two series are equal only when their lists are, so a
+truncated series never equals a longer one.  Partition and
+plane-partition counts are int lists; integer powers, exponentials and
+logarithms of rational series are one-pass coefficient recurrences that
+return Fraction lists, with no series products.
 
-The zero polynomial has an empty term map; constructors prune zero
-coefficients.  Canonical rendering sorts terms by ascending exponent and
-prints rationals as ``p/q`` (or plain ``p`` when the denominator is one),
-so rendered output is byte stable and usable in golden tests.
+A monomial renders as ``0``, as the plain coefficient at exponent 0, as
+``C*t`` at exponent 1 and as ``C*t^e`` otherwise, with rationals printed
+as ``p/q`` (or plain ``p`` when the denominator is one), so rendered
+output is byte stable and usable in golden tests.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional, Union
@@ -42,159 +43,50 @@ def _frac(x: Scalar) -> Fraction:
     raise ExactError(f"not an exact scalar: {x!r}")
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial in a single variable, exact coefficients.
+@dataclass(frozen=True)
+class Monomial:
+    """The single term coeff * var^exp, with an exact coefficient.
 
-    Term maps never contain zero coefficients.  Two values compare equal
-    when their term maps are equal and, unless both are constant, their
-    variables are equal too: a constant carries no variable, so it equals
-    the same constant in any variable and the same int or Fraction.  Binary
-    operations require matching variables unless one operand is a constant
-    or a plain scalar.
+    A zero coefficient forces exp = 0, so zeros of any degree compare
+    equal.  Two monomials add only when they share their degree and
+    variable; a zero adds to anything.
     """
 
-    __slots__ = ("var", "terms")
+    coeff: Fraction
+    exp: int
+    var: str = "t"
 
-    def __init__(self, var: str, terms: Optional[Mapping[int, Scalar]] = None):
-        self.var = var
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = _frac(c)
-                if c != 0:
-                    clean[int(e)] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, var: str = "t") -> "LaurentPoly":
-        return cls(var, {})
-
-    @classmethod
-    def constant(cls, c: Scalar, var: str = "t") -> "LaurentPoly":
-        return cls(var, {0: _frac(c)})
-
-    @classmethod
-    def monomial(cls, var: str, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
-        return cls(var, {exp: _frac(coeff)})
+    def __post_init__(self):
+        coeff = _frac(self.coeff)
+        object.__setattr__(self, "coeff", coeff)
+        if coeff == 0:
+            object.__setattr__(self, "exp", 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.coeff == 0
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """``{exp: coeff}``, empty for zero."""
+        return {self.exp: self.coeff} if self.coeff else {}
 
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {0}
-
-    def coefficient(self, exp: int) -> Fraction:
-        return self.terms.get(exp, Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.coefficient(0)
-
-    def homogeneous_degree(self) -> Optional[int]:
-        """The single exponent if this is a monomial, else None (zero -> None)."""
-        if len(self.terms) == 1:
-            return next(iter(self.terms))
-        return None
-
-    def _coerce(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            if other.var != self.var and not (other.is_constant() or self.is_constant()):
-                raise ExactError(
-                    f"variable mismatch: {self.var!r} vs {other.var!r}")
+    def __add__(self, other: "Monomial") -> "Monomial":
+        if other.is_zero():
+            return self
+        if self.is_zero():
             return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.constant(other, self.var)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        var = self.var if not self.is_constant() else other.var
-        return LaurentPoly(var, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.var, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        var = self.var if not self.is_constant() else other.var
-        return LaurentPoly(var, out)
-
-    __rmul__ = __mul__
-
-    def div_monomial(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Divide exactly by a nonzero monomial."""
-        if not other.is_monomial():
-            raise ExactError("divisor must be a nonzero monomial")
-        (e, c), = other.terms.items()
-        return LaurentPoly(self.var, {e1 - e: c1 / c for e1, c1 in self.terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other, self.var)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if self.terms != other.terms:
-            return False
-        return self.var == other.var or self.is_constant()
-
-    def __hash__(self):
-        # a constant equals the same int or Fraction, so it hashes like one
-        if self.is_constant():
-            return hash(self.constant_term())
-        return hash((self.var, frozenset(self.terms.items())))
-
-    def evaluate(self, value: Scalar) -> Fraction:
-        """The value at a rational point of the variable."""
-        value = _frac(value)
-        return sum((c * value ** e for e, c in self.terms.items()), Fraction(0))
+        if (self.exp, self.var) != (other.exp, other.var):
+            raise ExactError(f"cannot add {self} and {other}: different degrees")
+        return Monomial(self.coeff + other.coeff, self.exp, self.var)
 
     def __str__(self):
-        if not self.terms:
+        if self.is_zero():
             return "0"
-        pieces = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            if e == 0:
-                pieces.append(str(c))
-            elif e == 1:
-                pieces.append(f"{c}*{self.var}")
-            else:
-                pieces.append(f"{c}*{self.var}^{e}")
-        text = pieces[0]
-        for p in pieces[1:]:
-            if p.startswith("-"):
-                text += " - " + p[1:]
-            else:
-                text += " + " + p
-        return text
-
-    def __repr__(self):
-        return f"LaurentPoly({self.var!r}, {self.terms!r})"
+        if self.exp == 0:
+            return str(self.coeff)
+        if self.exp == 1:
+            return f"{self.coeff}*{self.var}"
+        return f"{self.coeff}*{self.var}^{self.exp}"
 
 
 class BivarPoly:
@@ -257,23 +149,24 @@ class BivarPoly:
 
     __rmul__ = __mul__
 
-    def expand_near_diagonal(self) -> dict[int, LaurentPoly]:
-        """Expand P(t1, t2) with t2 = t1 - delta as {delta power: poly in t = t1}.
+    def expand_near_diagonal(self) -> dict[int, dict[int, Fraction]]:
+        """Expand P(t1, t2) with t2 = t1 - delta as
+        {delta power: {power of t = t1: coefficient}}.
 
-        Zero coefficients are dropped; the empty dict is the zero polynomial.
+        Zero coefficients and delta powers without terms are dropped; the
+        empty dict is the zero polynomial.
         """
         coeffs: dict[int, dict[int, Fraction]] = {}
         for (e1, e2), c in self.terms.items():
             for j in range(e2 + 1):
-                cj = c * comb(e2, j) * (-1) ** j
+                row = coeffs.setdefault(j, {})
                 tpow = e1 + e2 - j
-                coeffs.setdefault(j, {})
-                coeffs[j][tpow] = coeffs[j].get(tpow, Fraction(0)) + cj
+                row[tpow] = row.get(tpow, Fraction(0)) + c * comb(e2, j) * (-1) ** j
         out = {}
-        for j, m in coeffs.items():
-            poly = LaurentPoly("t", m)
-            if not poly.is_zero():
-                out[j] = poly
+        for j, row in coeffs.items():
+            row = {e: c for e, c in row.items() if c}
+            if row:
+                out[j] = row
         return out
 
     def __eq__(self, other):

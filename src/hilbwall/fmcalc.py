@@ -20,17 +20,14 @@ Fulton-MacPherson space of a d-dimensional variety, with the top Chern
 class of the variety kept as the formal symbol c_d: each bare psi-tilde
 insertion comes off as the factor (-1)^d * (c_d - m), m the number of
 insertions left after it, so k of them give a falling factorial in c_d.
-Values are :class:`~hilbwall.exact.LaurentPoly` polynomials in the
-variable ``c{d}`` (c1, c2 or c3), so polynomials of different dimensions
-never mix.  The empty bracket is 1.
+A polynomial in c_d is an int list of its coefficients in ascending
+powers of c_d, as the q-series are.  The empty bracket is [1].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, comb
-
-from .exact import LaurentPoly
 
 
 def tn_integral(n: int, a: int, b: int) -> Fraction:
@@ -44,16 +41,19 @@ def tn_integral(n: int, a: int, b: int) -> Fraction:
     return Fraction((-1) ** ceil(a / 2) * comb(n - 2, a // 2))
 
 
-def reduce_pure_tilde(k: int, d: int) -> LaurentPoly:
+def reduce_pure_tilde(k: int, d: int) -> list[int]:
     """Value of the bracket of k bare tilde insertions on the FM space of a
     d-dimensional variety: the product of the dilaton factors
-    (-1)^d * (c_d - m) for m = k-1 .. 0, down to the empty bracket 1."""
+    (-1)^d * (c_d - m) for m = k-1 .. 0, down to the empty bracket 1, as
+    its coefficients in ascending powers of c_d."""
     if d not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
     if k < 0:
         raise ValueError("k must be nonnegative")
     sign = (-1) ** d
-    value = LaurentPoly.constant(1, f"c{d}")
+    value = [1]
     for m in range(k - 1, -1, -1):
-        value = value * LaurentPoly(f"c{d}", {1: sign, 0: -sign * m})
+        # the coefficient of c_d^i in sign * (c_d - m) * value
+        value = [sign * (lower - m * same)
+                 for same, lower in zip(value + [0], [0] + value)]
     return value

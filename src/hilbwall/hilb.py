@@ -17,10 +17,11 @@ and the ch_2 .. ch_6 brackets match their closed forms.
 
 The diagonal one-parameter torus is reached without any rational-function
 arithmetic.  Substitute t1 = t, t2 = t + eps; every bracket is a single
-monomial C * t^(K - 2n), K the total ch degree, so t = 1 loses nothing and
-the kernel works with integer eps-series only.  At a fixed point with P
-pole factors (tangent weights a*t1 + b*t2 whose diagonal part a + b
-vanishes) the Euler class is eps^P times the product of the pole slopes b
+monomial C * t^(K - 2n), K the total ch degree, so t = 1 loses nothing,
+the kernel works with integer eps-series only, and the result is a
+:class:`~hilbwall.exact.Monomial`.  At a fixed point with P pole factors
+(tangent weights a*t1 + b*t2 whose diagonal part a + b vanishes) the
+Euler class is eps^P times the product of the pole slopes b
 times the non-pole factors (a+b) + b*eps; the numerator prod k_i! ch_{k_i}
 is the box sum of (-(c+r) - r*eps)^k, multiplied out.  Both are known
 through eps^P, and one power-series division, the only rational step,
@@ -37,7 +38,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable
 
-from .exact import BivarPoly, ExactError, LaurentPoly
+from .exact import BivarPoly, ExactError, Monomial
 
 
 class LocalizationError(ExactError):
@@ -211,13 +212,13 @@ def _mul_trunc(a: list[int], b: tuple[int, ...]) -> list[int]:
 BRACKET_CACHE_SIZE = 256
 
 
-def hilb_integral(n: int, ks: Iterable[int] = ()) -> LaurentPoly:
+def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
     """Integral of prod_i ch_{k_i} over the n-point Hilbert scheme of the
-    plane, equivariant for the diagonal torus, as a Laurent polynomial in t.
+    plane, equivariant for the diagonal torus, as the monomial C * t^(K-2n).
 
     The empty insertion list gives 1/(n! t^(2n)).  The last
-    BRACKET_CACHE_SIZE brackets are memoized, so callers share the returned
-    value (no LaurentPoly operation mutates its operands).
+    BRACKET_CACHE_SIZE brackets are memoized; a Monomial is immutable, so
+    callers may share the returned value.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -225,7 +226,7 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> LaurentPoly:
 
 
 @lru_cache(maxsize=BRACKET_CACHE_SIZE)
-def _bracket(n: int, ks: tuple[int, ...]) -> LaurentPoly:
+def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
     totals: list[Fraction] = []  # totals[m] is the coefficient of eps^-m
     for lam in enumerate_partitions(n):
         den, slopes = _euler_eps(lam.parts)
@@ -253,10 +254,10 @@ def _bracket(n: int, ks: tuple[int, ...]) -> LaurentPoly:
     for k in ks:
         scale *= factorial(k)
     value = totals[0] / scale if totals else 0
-    return LaurentPoly("t", {sum(ks) - 2 * n: value})
+    return Monomial(value, sum(ks) - 2 * n)
 
 
-def hilb_integral_via_limit(n: int, ks: Iterable[int] = ()) -> LaurentPoly:
+def hilb_integral_via_limit(n: int, ks: Iterable[int] = ()) -> Monomial:
     """Cross-check path for :func:`hilb_integral`, avoiding eps-series entirely.
 
     Collects the full-torus sum of ch-products over tangent Euler classes as
@@ -264,7 +265,9 @@ def hilb_integral_via_limit(n: int, ks: Iterable[int] = ()) -> LaurentPoly:
     denominator around the diagonal t2 = t1 - delta, cancels the leading
     power of delta, and evaluates at delta = 0.  Slow (the common
     denominator is the product of all fixed-point Euler classes) but
-    structurally independent of the factor-by-factor inversion.
+    structurally independent of the factor-by-factor inversion.  The
+    exponent of the result is the quotient of the leading t-powers, not
+    K - 2n, so comparing with the kernel checks the degree too.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -286,5 +289,10 @@ def hilb_integral_via_limit(n: int, ks: Iterable[int] = ()) -> LaurentPoly:
     v = min(den_d)
     if any(j < v for j in num_d):
         raise LocalizationError("localization sum not regular on diagonal")
-    lead_num = num_d.get(v, LaurentPoly.zero())
-    return lead_num.div_monomial(den_d[v])
+    lead_num, lead_den = num_d.get(v, {}), den_d[v]
+    if len(lead_den) != 1 or len(lead_num) > 1:
+        raise LocalizationError("leading diagonal coefficient is not a monomial")
+    (e, c), = lead_den.items()
+    for e1, c1 in lead_num.items():
+        return Monomial(c1 / c, e1 - e)
+    return Monomial(0, 0)

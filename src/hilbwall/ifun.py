@@ -8,7 +8,8 @@ weight, u := t + z, and multiplying by the equivariant Euler factor
     I_n(z, prod ch) = C * u^(K - 2n + 2).
 
 Expanded in the range |z| > |t|, a power u^e with e < 0 has only negative
-z-powers, so the nonpolar part is C * u^e when e >= 0 and zero otherwise.
+z-powers, so the nonpolar part is C * u^e when e >= 0 and zero otherwise;
+it is returned as a :class:`~hilbwall.exact.Monomial` in the variable u.
 Restricting a nonpolar contribution to a torus-fixed stratum is a single
 substitution: on the one-point stratum (the plane itself, where the psi
 class vanishes) u goes to t; on the tree locus T_N the marking psi class
@@ -18,48 +19,20 @@ enters through u -> -psi1.  Both substitutions are made inline in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .exact import LaurentPoly
-from .hilb import hilb_integral, normalize_insertions
+from .exact import Monomial
+from .hilb import hilb_integral
 
 
-@dataclass(frozen=True)
-class UMonomial:
-    """A one-end contribution C * u^exp in the shifted variable u = t + z."""
-
-    coeff: Fraction
-    exp: int
-
-    @classmethod
-    def zero(cls) -> "UMonomial":
-        return cls(Fraction(0), 0)
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def as_laurent(self, var: str = "u") -> LaurentPoly:
-        if self.is_zero():
-            return LaurentPoly.zero(var)
-        return LaurentPoly.monomial(var, self.exp, self.coeff)
-
-
-def nonpolar_ifunction(n: int, ks: Iterable[int] = ()) -> UMonomial:
+def nonpolar_ifunction(n: int, ks: Iterable[int] = ()) -> Monomial:
     """Nonpolar part of I_n(z, prod ch_{k_i}) as a u-monomial.
 
     Zero exactly when the bracket vanishes or K < 2n - 2 (the exponent
     K - 2n + 2 would be negative, leaving only polar terms).
     """
-    ks = normalize_insertions(ks)
     bracket = hilb_integral(n, ks)
-    if bracket.is_zero():
-        return UMonomial.zero()
-    deg = bracket.homogeneous_degree()
-    if deg is None or deg != sum(ks) - 2 * n:
-        raise AssertionError(f"bracket {bracket} is not the expected monomial")
-    exp = deg + 2
-    if exp < 0:
-        return UMonomial.zero()
-    return UMonomial(bracket.coefficient(deg), exp)
+    exp = bracket.exp + 2
+    # a zero coefficient forces the exponent to 0, so a vanishing bracket
+    # gives the zero u-monomial whatever its degree
+    return Monomial(bracket.coeff if exp >= 0 else 0, exp, "u")

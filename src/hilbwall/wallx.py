@@ -40,7 +40,7 @@ from itertools import product
 from math import factorial
 from typing import Iterator
 
-from .exact import LaurentPoly, qs_exp, qs_log, qs_pow_int, \
+from .exact import Monomial, qs_exp, qs_log, qs_pow_int, \
     euler_inverse_series, macmahon_series
 from .fmcalc import tn_integral
 from .ifun import nonpolar_ifunction
@@ -123,16 +123,17 @@ def expand_full_crossing(n: int, num_insertions: int) -> list[FullCrossingTerm]:
     return out
 
 
-def ch_series(k: int, q_order: int) -> list[LaurentPoly]:
+def ch_series(k: int, q_order: int) -> list[Monomial]:
     """Generating series of <ch_k>_n over all n, assembled from the finitely
     many nonpolar one-end contributions via the stratum sums described in
-    the module docstring: the q^n coefficient, a Laurent polynomial in t,
-    sits at index n."""
+    the module docstring: the q^n coefficient, a monomial in t, sits at
+    index n.  Each stratum term carries the exponent its own restriction
+    gives, and adding terms of different degrees raises ExactError."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
-    coeffs = [LaurentPoly.zero("t") for _ in range(q_order + 1)]
+    coeffs = [Monomial(0, 0)] * (q_order + 1)
     # a seed at n > q_order lands beyond the order on every stratum
     for n in range(1, min((k + 2) // 2, q_order) + 1):
         seed = nonpolar_ifunction(n, (k,))
@@ -140,7 +141,7 @@ def ch_series(k: int, q_order: int) -> list[LaurentPoly]:
             continue
         c, a = seed.coeff, seed.exp
         # one-point stratum: u -> t, divided by the normal weight t^2
-        coeffs[n] = coeffs[n] + LaurentPoly.monomial("t", a - 2, c)
+        coeffs[n] = coeffs[n] + Monomial(c, a - 2)
         # tree loci: u -> -psi1, and 1/(t^2 (t - psi_inf)) = sum_j psi_inf^j
         # t^(-3-j), of which only j = 2N - 3 - a meets the dimension of T_N
         for big_n in range(2, q_order - n + 2):
@@ -152,7 +153,7 @@ def ch_series(k: int, q_order: int) -> list[LaurentPoly]:
                 continue
             scale = c * (-1) ** a * weight / factorial(big_n - 1)
             idx = n + big_n - 1
-            coeffs[idx] = coeffs[idx] + LaurentPoly.monomial("t", -3 - j, scale)
+            coeffs[idx] = coeffs[idx] + Monomial(scale, -3 - j)
     return coeffs
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hilbwall.cli import run
-from hilbwall.exact import ExactError, LaurentPoly
+from hilbwall.exact import ExactError, Monomial
 from hilbwall.hilb import LocalizationError, hilb_integral
 
 
@@ -133,9 +133,14 @@ def test_unknown_command_exits_2(capsys):
     ["ch-series", "--ch", "2", "--k", "3", "--order", "4"],
     ["partitions", "--n", "41"],
     ["hilb-integral", "--n", "41"],
+    ["ch-series", "--k", "2", "--order", "201"],
+    ["euler", "--d", "2", "--c", "24", "--order", "201", "--check"],
+    ["dt-check", "--c", "5", "--order", "201"],
+    ["tn", "--n", "201", "--psi1", "1", "--psiinf", "398"],
 ], ids=["bad-int", "missing-flag", "no-command", "unknown-command", "bad-choice",
         "repeated-k", "repeated-k-alias", "partitions-n-too-large",
-        "hilb-n-too-large"])
+        "hilb-n-too-large", "ch-series-order-too-large", "euler-order-too-large",
+        "dt-check-order-too-large", "tn-n-too-large"])
 def test_flag_error_prints_one_line(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
@@ -149,7 +154,7 @@ def test_long_exact_values_print_in_full(capsys):
     assert code == 0 and err == ""
     (term,) = json.loads(out)["result"]["terms"]
     assert len(term["coeff"]) > 4300
-    got = LaurentPoly.monomial("t", term["exp"], Fraction(term["coeff"]))
+    got = Monomial(Fraction(term["coeff"]), term["exp"])
     assert got == hilb_integral(3, [2000])
 
 
@@ -287,6 +292,32 @@ BYTE_STABLE = [
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('verify', 'table', 0, '',
      '4b9ac5bd1eb84e14c6814aa9379def8ed8d1bf0d31e4540302beae17d52cc9d0'),
+    # one row per rendering branch of a monomial: zero, exponent 0,
+    # exponent 1, and the zero u-monomial of a vanishing or polar bracket
+    ('hilb-integral --n 5 --ch 1', 'table', 0, '',
+     '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa'),
+    ('hilb-integral --n 5 --ch 1', 'json', 0, '',
+     '5c53628448a7c67564e73b93d043d36665d07323e7b7ff7b44461d4b80ff42a4'),
+    ('hilb-integral --n 2 --ch 4', 'table', 0, '',
+     'eba93cc54db2a74809c6b2e35d23ca287beebbeb68624a258e03dc0604735786'),
+    ('hilb-integral --n 2 --ch 4', 'json', 0, '',
+     '4fde989bc390f261b268e5aeee35beb5342213d56da4dea738bad8d7905af9b7'),
+    ('hilb-integral --n 2 --ch 5', 'table', 0, '',
+     '93a3a42eede22d1f567321f19431b296f9b8b66cefab91114a929b3668599926'),
+    ('hilb-integral --n 2 --ch 5', 'json', 0, '',
+     '8a83f6cca4f7ccb26788ec563e1d259351d7a2e68636e199611db6bd5d04781c'),
+    ('ifunction --n 5 --ch 1', 'table', 0, '',
+     '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa'),
+    ('ifunction --n 5 --ch 1', 'json', 0, '',
+     '9a6315642cbed87e35a68b2aed4a11f6ebba3fef01c5cf23dff766eee933d095'),
+    ('ifunction --n 5 --ch 2', 'table', 0, '',
+     '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa'),
+    ('ifunction --n 5 --ch 2', 'json', 0, '',
+     'e2a485162429ec4bd88b7c3169a4abb3885f79b200f426f6ed04c963a522999b'),
+    ('ifunction --n 2 --ch 3', 'table', 0, '',
+     '442c24880d772e83d402cb5b8b6c58309b41bb90b9781af8739921e0aaa82779'),
+    ('ifunction --n 2 --ch 3', 'json', 0, '',
+     'e4708d50a95efed59456f4ea69cd6356c8f4ec46a241d82ae3d773ddc0e7ffd0'),
 ]
 
 

@@ -3,75 +3,43 @@ from math import factorial
 
 import pytest
 
-from hilbwall.exact import (ExactError, LaurentPoly, euler_inverse_series,
+from hilbwall.exact import (ExactError, Monomial, euler_inverse_series,
                             macmahon_series, qs_exp, qs_log, qs_pow_int)
 
 
-def lp(terms, var="t"):
-    return LaurentPoly(var, terms)
-
-
-# --- Laurent polynomials -----------------------------------------------------
-
-def test_lp_ring_examples():
-    assert lp({-2: 1}) * lp({3: 1}) == lp({1: 1})
-    assert lp({1: 1}) - lp({1: 1}) == lp({})
-    one_plus_t = lp({0: 1, 1: 1})
-    assert one_plus_t * one_plus_t == lp({0: 1, 1: 2, 2: 1})
-
-
-def test_lp_variable_mismatch():
-    with pytest.raises(ExactError):
-        lp({1: 1}, "t") + lp({1: 1}, "q")
-
-
-def test_lp_equality_respects_the_variable():
-    assert lp({1: 1}, "t") != lp({1: 1}, "q")
-    assert len({lp({1: 1}, "t"), lp({1: 1}, "q")}) == 2
-    # constants carry no variable: equal across variables and to the scalar
-    assert lp({0: 3}, "t") == lp({0: 3}, "q") == 3
-    assert lp({}, "c2") == lp({}, "u") == 0
-
-
-def test_lp_constants_mix_across_variables():
-    # constants carry no variable content
-    assert lp({0: 3}, "t") + lp({1: 1}, "q") == lp({0: 3, 1: 1}, "q")
-
+# --- monomials ------------------------------------------------------------------
 
 def test_lp_zero_pruning_and_predicates():
-    p = lp({2: F(0), 1: F(1, 2)})
-    assert p.terms == {1: F(1, 2)}
-    assert p.is_monomial() and not p.is_zero()
-    assert lp({}).is_zero()
-    assert p.homogeneous_degree() == 1
-    assert lp({1: 1, 2: 1}).homogeneous_degree() is None
+    # a zero coefficient forces the exponent to 0
+    zero = Monomial(F(0), 2)
+    assert zero.exp == 0 and zero.terms == {} and zero.is_zero()
+    p = Monomial(F(1, 2), 1)
+    assert p.terms == {1: F(1, 2)} and not p.is_zero()
+    assert Monomial(3, -2).coeff == F(3) and Monomial(3, -2).var == "t"
+    with pytest.raises(ExactError):
+        Monomial(0.5, 1)
 
 
 def test_lp_rendering_is_canonical():
-    p = lp({3: F(-3), -1: F(1, 2), 0: F(2)})
-    assert str(p) == "1/2*t^-1 + 2 - 3*t^3"
-    assert str(lp({})) == "0"
-    assert str(lp({1: 1})) == "1*t"
+    assert str(Monomial(F(1, 2), -1)) == "1/2*t^-1"
+    assert str(Monomial(F(2), 0)) == "2"
+    assert str(Monomial(F(-3), 3)) == "-3*t^3"
+    assert str(Monomial(0, 5)) == "0"
+    assert str(Monomial(1, 1)) == "1*t"
+    assert str(Monomial(F(1, 6), 1, "u")) == "1/6*u"
 
 
-def test_lp_constant_hash_matches_scalar():
-    # equal values must hash alike, or dict and set lookups miss
-    assert hash(LaurentPoly.constant(3)) == hash(3) == hash(F(3))
-    assert hash(LaurentPoly.constant(F(1, 2), "q")) == hash(F(1, 2))
-    assert hash(LaurentPoly.zero()) == hash(0)
-    table = {LaurentPoly.constant(3): "three", F(1, 2): "half"}
-    assert table[3] == "three" and table[F(3)] == "three"
-    assert table[LaurentPoly.constant(F(1, 2))] == "half"
-    assert LaurentPoly.zero("q") in {0}
-    assert {LaurentPoly.constant(3), 3, F(3)} == {3}
-    assert lp({1: 2}) in {lp({1: 2})}
-
-
-def test_lp_div_monomial():
-    p = lp({2: 1, 4: 3})
-    assert p.div_monomial(lp({2: F(1, 2)})) == lp({0: 2, 2: 6})
+def test_monomial_sum_needs_one_degree():
+    assert Monomial(1, -2) + Monomial(F(1, 2), -2) == Monomial(F(3, 2), -2)
+    assert (Monomial(1, -2) + Monomial(-1, -2)).is_zero()
+    # zeros of any degree compare equal and add to anything
+    assert Monomial(0, 3) == Monomial(F(0), -4) == Monomial(0, 0)
+    assert hash(Monomial(0, 3)) == hash(Monomial(0, 0))
+    assert Monomial(0, 3) + Monomial(5, 1) == Monomial(5, 1) + Monomial(0, -7) == Monomial(5, 1)
     with pytest.raises(ExactError):
-        p.div_monomial(p)
+        Monomial(1, -2) + Monomial(1, -3)
+    with pytest.raises(ExactError):
+        Monomial(1, 0) + Monomial(1, 0, "u")
 
 
 # --- q series: the q^n coefficient at index n ----------------------------------

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from hilbwall import hilb
-from hilbwall.exact import BivarPoly, LaurentPoly
+from hilbwall.exact import BivarPoly, Monomial
 from hilbwall.hilb import (LocalizationError, Partition, ch_value,
                            enumerate_partitions, fixed_point_data,
                            hilb_integral, hilb_integral_via_limit,
@@ -15,7 +15,7 @@ from hilbwall.verify import _sum_bounded_partitions
 
 
 def mono(exp, coeff):
-    return LaurentPoly.monomial("t", exp, coeff)
+    return Monomial(coeff, exp)
 
 
 def pentagonal_partition_count(n, cache={0: 1}):
@@ -154,7 +154,7 @@ def test_homogeneity_degree():
         for n in range(1, 6):
             value = hilb_integral(n, ks)
             if not value.is_zero():
-                assert value.homogeneous_degree() == sum(ks) - 2 * n
+                assert value.exp == sum(ks) - 2 * n
 
 
 def test_agrees_with_rational_limit_oracle():

@@ -1,15 +1,15 @@
 from fractions import Fraction as F
 
-from hilbwall.exact import LaurentPoly
+from hilbwall.exact import Monomial
 from hilbwall.hilb import hilb_integral
-from hilbwall.ifun import UMonomial, nonpolar_ifunction
+from hilbwall.ifun import nonpolar_ifunction
 from hilbwall.wallx import ch_series
 
 
 def test_nonpolar_examples():
-    assert nonpolar_ifunction(1, []) == UMonomial(F(1), 0)
+    assert nonpolar_ifunction(1, []) == Monomial(F(1), 0, "u")
     assert nonpolar_ifunction(1, [1]).is_zero()
-    assert nonpolar_ifunction(2, [2]) == UMonomial(F(-1, 4), 0)
+    assert nonpolar_ifunction(2, [2]) == Monomial(F(-1, 4), 0, "u")
     assert nonpolar_ifunction(3, [2]).is_zero()
 
 
@@ -44,26 +44,25 @@ def _partitions_of(total, cap=None):
 
 def test_restriction_to_point_stratum():
     # u -> t, divided by the normal weight t^2, lands at q^n
-    assert nonpolar_ifunction(2, [2]) == UMonomial(F(-1, 4), 0)
-    assert ch_series(2, 2)[2] == LaurentPoly.monomial("t", -2, F(-1, 4))
-    assert nonpolar_ifunction(2, [4]) == UMonomial(F(-1, 16), 2)
-    assert ch_series(4, 2)[2] == LaurentPoly.constant(F(-1, 16), "t")
+    assert nonpolar_ifunction(2, [2]) == Monomial(F(-1, 4), 0, "u")
+    assert ch_series(2, 2)[2] == Monomial(F(-1, 4), -2)
+    assert nonpolar_ifunction(2, [4]) == Monomial(F(-1, 16), 2, "u")
+    assert ch_series(4, 2)[2] == Monomial(F(-1, 16), 0)
 
 
 def test_restriction_to_tree_stratum():
     # u -> -psi1 on T_2 lands at q^(n+1) with int_{T_2} psi1^a psi_inf^(1-a)
-    assert ch_series(2, 3)[3] == LaurentPoly.monomial("t", -4, F(-1, 4))
+    assert ch_series(2, 3)[3] == Monomial(F(-1, 4), -4)
     # odd exponents pick up the sign of u -> -psi1: (-1) * int_{T_2} psi1 = +1
-    assert nonpolar_ifunction(2, [3]) == UMonomial(F(1, 6), 1)
-    assert ch_series(3, 3)[3] == LaurentPoly.monomial("t", -3, F(1, 6))
+    assert nonpolar_ifunction(2, [3]) == Monomial(F(1, 6), 1, "u")
+    assert ch_series(3, 3)[3] == Monomial(F(1, 6), -3)
 
 
 def test_point_restriction_tautology():
     # for 2n <= k + 2 the point-stratum value over t^2 returns the bracket
     for n, k in [(1, 0), (1, 2), (2, 2), (2, 4), (3, 4), (3, 6), (4, 6)]:
         m = nonpolar_ifunction(n, [k] if k else [])
-        value = m.as_laurent("t")  # u -> t
-        recovered = value.div_monomial(LaurentPoly.monomial("t", 2))
+        recovered = Monomial(m.coeff, m.exp - 2)  # u -> t, over t^2
         assert recovered == hilb_integral(n, [k] if k else [])
 
 

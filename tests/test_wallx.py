@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from hilbwall import hilb, wallx
-from hilbwall.exact import LaurentPoly
+from hilbwall.exact import Monomial
 from hilbwall.hilb import hilb_integral
 from hilbwall.wallx import (ch_series, dt_identity_check, euler_series_closed,
                             euler_series_wc, expand_full_crossing,
@@ -13,7 +13,7 @@ from hilbwall.wallx import (ch_series, dt_identity_check, euler_series_closed,
 
 
 def mono(exp, coeff):
-    return LaurentPoly.monomial("t", exp, coeff)
+    return Monomial(coeff, exp)
 
 
 # --- term expanders ---------------------------------------------------------
