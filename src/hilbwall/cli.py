@@ -117,6 +117,10 @@ def _cmd_ch_series(args):
     if k < 0:
         raise UsageError("--k must be >= 0")
     _check_range("--order", args.order, 1, MAX_ORDER)
+    # ch_series brackets every n of its nonpolar seed range, 2n <= k + 2
+    top = min((k + 2) // 2, args.order)
+    if top > MAX_N:
+        raise UsageError(f"--k and --order need brackets up to n = {top} > {MAX_N}")
     series = ch_series(k, args.order)
     query = {"k": k, "order": args.order}
     return query, _series_json(series), _series_table(series)

@@ -27,7 +27,9 @@ is the box sum of (-(c+r) - r*eps)^k, multiplied out.  Both are known
 through eps^P, and one power-series division, the only rational step,
 gives the contribution to eps^-P .. eps^0.  The sum over all partitions
 is regular at eps = 0; surviving negative powers signal a convention bug
-and raise :class:`LocalizationError`.
+and raise :class:`LocalizationError`.  The only caches are the two integer
+eps-lists per fixed point, keyed by the parts tuple, and the last
+BRACKET_CACHE_SIZE brackets; weight data is recomputed when asked for.
 """
 
 from __future__ import annotations
@@ -121,36 +123,14 @@ def taut_weights(lam: Partition) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class FixedPointData:
-    """Cached weight data of one torus-fixed point."""
+    """Weight data of one torus-fixed point."""
 
     tangent: tuple[tuple[int, int], ...]
     taut: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=None)
-def _fixed_point_data(parts: tuple[int, ...]) -> FixedPointData:
-    lam = Partition(parts)
-    return FixedPointData(tuple(tangent_weights(lam)), tuple(taut_weights(lam)))
-
-
 def fixed_point_data(lam: Partition) -> FixedPointData:
-    return _fixed_point_data(lam.parts)
-
-
-@lru_cache(maxsize=None)
-def _ch_value(parts: tuple[int, ...], k: int) -> BivarPoly:
-    data = _fixed_point_data(parts)
-    total = BivarPoly.zero()
-    kfac = factorial(k)
-    for (i, j) in data.taut:
-        # (-(i*t1 + j*t2))^k expanded by the binomial theorem
-        terms = {}
-        for a in range(k + 1):
-            c = Fraction((-1) ** k * comb(k, a) * i ** a * j ** (k - a), kfac)
-            if c != 0:
-                terms[(a, k - a)] = c
-        total = total + BivarPoly(terms)
-    return total
+    return FixedPointData(tuple(tangent_weights(lam)), tuple(taut_weights(lam)))
 
 
 def ch_value(lam: Partition, k: int) -> BivarPoly:
@@ -161,11 +141,14 @@ def ch_value(lam: Partition, k: int) -> BivarPoly:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _ch_value(lam.parts, int(k))
-
-
-def _pole_count(data: FixedPointData) -> int:
-    return sum(1 for (a, b) in data.tangent if a + b == 0)
+    total = BivarPoly.zero()
+    kfac = factorial(k)
+    for (i, j) in taut_weights(lam):
+        # (-(i*t1 + j*t2))^k expanded by the binomial theorem; BivarPoly drops zeros
+        terms = {(a, k - a): Fraction((-1) ** k * comb(k, a) * i ** a * j ** (k - a), kfac)
+                 for a in range(k + 1)}
+        total = total + BivarPoly(terms)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -176,11 +159,11 @@ def _euler_eps(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     eps^P, and ``slopes`` is the product of the P pole slopes b.  Returns
     (D coefficients, slopes).
     """
-    data = _fixed_point_data(parts)
-    length = _pole_count(data) + 1
+    tangent = tangent_weights(Partition(parts))
+    length = sum(1 for (a, b) in tangent if a + b == 0) + 1
     den = [1] + [0] * (length - 1)
     slopes = 1
-    for (a, b) in data.tangent:
+    for (a, b) in tangent:
         w = a + b
         if w == 0:
             slopes *= b
@@ -194,10 +177,9 @@ def _euler_eps(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 @lru_cache(maxsize=None)
 def _ch_eps(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
     """k! * ch_k at t = 1: the box sum of (-(c+r) - r*eps)^k through eps^P."""
-    data = _fixed_point_data(parts)
-    poles = _pole_count(data)
+    poles = len(_euler_eps(parts)[0]) - 1
     out = [0] * (poles + 1)
-    for (c, r) in data.taut:
+    for (c, r) in taut_weights(Partition(parts)):
         d = -(c + r)
         for j in range(min(k, poles) + 1):
             out[j] += comb(k, j) * d ** (k - j) * (-r) ** j
@@ -275,12 +257,11 @@ def hilb_integral_via_limit(n: int, ks: Iterable[int] = ()) -> Monomial:
     num = BivarPoly.zero()
     den = BivarPoly.constant(1)
     for lam in enumerate_partitions(n):
-        data = fixed_point_data(lam)
         nl = BivarPoly.constant(1)
         for k in ks:
-            nl = nl * _ch_value(lam.parts, k)
+            nl = nl * ch_value(lam, k)
         dl = BivarPoly.constant(1)
-        for (a, b) in data.tangent:
+        for (a, b) in tangent_weights(lam):
             dl = dl * BivarPoly.linear(a, b)
         num = num * dl + nl * den
         den = den * dl

@@ -34,10 +34,6 @@ class CheckResult:
     detail: str = ""
 
 
-def _mono(exp: int, coeff: Fraction) -> Monomial:
-    return Monomial(coeff, exp)
-
-
 # ---------------------------------------------------------------------------
 # frozen generating-series shapes for the ch_k brackets, k = 2 .. 6
 
@@ -47,7 +43,7 @@ def _shifted_exp(order: int, shift_q: int, shift_t: int,
     """scale * q^shift_q * t^shift_t * exp(q/t^2), truncated at ``order``."""
     coeffs = [Monomial(0, 0)] * (order + 1)
     for m in range(order - shift_q + 1):
-        coeffs[m + shift_q] = _mono(-2 * m + shift_t, scale * Fraction(1, factorial(m)))
+        coeffs[m + shift_q] = Monomial(scale * Fraction(1, factorial(m)), -2 * m + shift_t)
     return coeffs
 
 
@@ -61,26 +57,27 @@ def golden_ch_series(k: int, order: int) -> list[Monomial]:
     if k == 4:
         s = _shifted_exp(order, 3, -2, Fraction(-5, 144))
         extra = list(zero)
-        extra[2] = _mono(0, Fraction(-1, 16))
+        extra[2] = Monomial(Fraction(-1, 16), 0)
         for n in range(4, order + 1):
-            extra[n] = _mono(-2 * (n - 2), Fraction(n - 3, 16 * factorial(n - 2)))
+            extra[n] = Monomial(Fraction(n - 3, 16 * factorial(n - 2)), -2 * (n - 2))
         return [a + b for a, b in zip(s, extra)]
     if k == 5:
         s = _shifted_exp(order, 3, -1, Fraction(-1, 60))
         extra = list(zero)
-        extra[2] = _mono(1, Fraction(1, 60))
+        extra[2] = Monomial(Fraction(1, 60), 1)
         for n in range(4, order + 1):
-            extra[n] = _mono(-2 * (n - 2) + 1, Fraction(-(n - 3), 60 * factorial(n - 2)))
+            extra[n] = Monomial(Fraction(-(n - 3), 60 * factorial(n - 2)), -2 * (n - 2) + 1)
         return [a + b for a, b in zip(s, extra)]
     if k == 6:
         s = _shifted_exp(order, 4, -2, Fraction(77, 4320))
         extra = list(zero)
-        extra[2] = _mono(2, Fraction(-1, 288))
+        extra[2] = Monomial(Fraction(-1, 288), 2)
         if order >= 3:
-            extra[3] = _mono(0, Fraction(77, 4320))
+            extra[3] = Monomial(Fraction(77, 4320), 0)
         for n in range(5, order + 1):
-            extra[n] = (_mono(-2 * (n - 3), Fraction(-77 * (n - 4), 4320 * factorial(n - 3)))
-                        + _mono(-2 * (n - 3), Fraction(-1, 576 * (n - 2) * factorial(n - 5))))
+            e = -2 * (n - 3)
+            extra[n] = (Monomial(Fraction(-77 * (n - 4), 4320 * factorial(n - 3)), e)
+                        + Monomial(Fraction(-1, 576 * (n - 2) * factorial(n - 5)), e))
         return [a + b for a, b in zip(s, extra)]
     raise ValueError("closed series shapes are recorded for k = 2 .. 6")
 
@@ -91,7 +88,7 @@ def golden_ch_series(k: int, order: int) -> list[Monomial]:
 
 def check_normalization() -> tuple[bool, str]:
     for n in range(1, 17):
-        expected = _mono(-2 * n, Fraction(1, factorial(n)))
+        expected = Monomial(Fraction(1, factorial(n)), -2 * n)
         if hilb_integral(n) != expected:
             return False, f"empty bracket mismatch at n={n}"
     return True, "<1>_n = 1/(n! t^2n) for n = 1..16"
@@ -106,8 +103,8 @@ def check_ch1_vanishing() -> tuple[bool, str]:
 
 def check_closed_forms() -> tuple[bool, str]:
     for n in range(2, 17):
-        ch2 = _mono(-2 * (n - 1), Fraction(-1, 4 * factorial(n - 2)))
-        ch3 = _mono(-(2 * n - 3), Fraction(1, 6 * factorial(n - 2)))
+        ch2 = Monomial(Fraction(-1, 4 * factorial(n - 2)), -2 * (n - 1))
+        ch3 = Monomial(Fraction(1, 6 * factorial(n - 2)), -(2 * n - 3))
         if hilb_integral(n, [2]) != ch2:
             return False, f"<ch_2>_{n} mismatch"
         if hilb_integral(n, [3]) != ch3:

@@ -213,6 +213,21 @@ def test_domain_error_exits_2_with_one_line(monkeypatch, capsys, error):
     assert err == "error: localization sum not regular on diagonal\n"
 
 
+def test_ch_series_above_the_bracket_bound_exits_2(monkeypatch, capsys):
+    from hilbwall import cli as climod
+
+    def unreachable(k, order):
+        raise AssertionError("ch_series must not run")
+    monkeypatch.setattr(climod, "ch_series", unreachable)
+    # the seeds reach n = min((k + 2) // 2, order) = 45
+    code, out, err = invoke(capsys, "ch-series", "--k", "200", "--order", "45")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "40" in err
+    # at n = 40 the command still reaches ch_series
+    with pytest.raises(AssertionError, match="must not run"):
+        run(["ch-series", "--k", "200", "--order", "40"])
+
+
 # (command line, format, exit code, stderr, sha256 of stdout): the README
 # examples and the edge cases around them, recorded once and pinned so that
 # any change to the rendered bytes shows up here

@@ -207,10 +207,16 @@ def test_input_validation():
         ch_value(Partition((2,)), -1)
 
 
-def test_fixed_point_data_caching_identity():
-    a = fixed_point_data(Partition((3, 1)))
-    b = fixed_point_data(Partition((3, 1)))
-    assert a is b
+def test_cold_bracket_caches_only_eps_lists():
+    caches = [v for v in vars(hilb).values() if callable(getattr(v, "cache_info", None))]
+    for cache in caches:
+        cache.cache_clear()
+    hilb_integral(8, [2, 3])
+    # 22 partitions of 8: one Euler eps-list each, one ch eps-list per k, one bracket
+    assert sum(cache.cache_info().currsize for cache in caches) == 22 + 44 + 1
+    lam = Partition((3, 1))
+    data = fixed_point_data(lam)
+    assert (data.tangent, data.taut) == (tuple(tangent_weights(lam)), tuple(taut_weights(lam)))
 
 
 def test_insertions_are_a_multiset():

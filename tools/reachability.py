@@ -35,7 +35,6 @@ ORACLE = "the rational-limit oracle that the tests hold the kernel against"
 EXPANDER = "expander weights for the multi-insertion series (ROADMAP item 1)"
 ALLOWED = {
     "exact.BivarPoly": ORACLE,
-    "hilb._ch_value": ORACLE,
     "hilb.ch_value": ORACLE,
     "hilb.hilb_integral_via_limit": ORACLE,
     "hilb.Partition.__str__": "names the partition in a failing verify detail",
