@@ -24,10 +24,13 @@ the kernel works with integer eps-series only, and the result is a
 Euler class is eps^P times the product of the pole slopes b
 times the non-pole factors (a+b) + b*eps; the numerator prod k_i! ch_{k_i}
 is the box sum of (-(c+r) - r*eps)^k, multiplied out.  Both are known
-through eps^P, and one power-series division, the only rational step,
-gives the contribution to eps^-P .. eps^0.  The sum over all partitions
-is regular at eps = 0; surviving negative powers signal a convention bug
-and raise :class:`LocalizationError`.  The only caches are the two integer
+through eps^P, and one power-series division, exact in integers once
+scaled by slopes * d0^(P+1) (d0 the constant term of D), gives the
+contribution to eps^-P .. eps^0.  The partitions are summed as integers
+over one shared denominator, the lcm of these scales, and the only
+Fraction is built at the end.  The sum is regular at eps = 0; surviving
+negative powers signal a convention bug and raise
+:class:`LocalizationError`.  The only caches are the two integer
 eps-lists per fixed point, keyed by the parts tuple, and the last
 BRACKET_CACHE_SIZE brackets; weight data is recomputed when asked for.
 """
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable
 
 from .exact import BivarPoly, ExactError, Monomial
@@ -80,15 +83,13 @@ def normalize_insertions(ks: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n, in reverse-lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out: list[Partition] = []
+def _partition_tuples(n: int) -> list[tuple[int, ...]]:
+    """Parts tuples of all partitions of n >= 0, in reverse-lexicographic order."""
+    out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, cap: int, prefix: list[int]):
         if remaining == 0:
-            out.append(Partition(tuple(prefix)))
+            out.append(tuple(prefix))
             return
         for p in range(min(remaining, cap), 0, -1):
             prefix.append(p)
@@ -97,6 +98,13 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
     rec(n, max(n, 1), [])
     return out
+
+
+def enumerate_partitions(n: int) -> list[Partition]:
+    """All partitions of n, in reverse-lexicographic order."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return [Partition(p) for p in _partition_tuples(n)]
 
 
 def tangent_weights(lam: Partition) -> list[tuple[int, int]]:
@@ -209,34 +217,42 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
 
 @lru_cache(maxsize=BRACKET_CACHE_SIZE)
 def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
-    totals: list[Fraction] = []  # totals[m] is the coefficient of eps^-m
-    for lam in enumerate_partitions(n):
-        den, slopes = _euler_eps(lam.parts)
+    totals = [0]  # totals[m] / common is the coefficient of eps^-m
+    common = 1
+    for parts in _partition_tuples(n):
+        den, slopes = _euler_eps(parts)
         poles = len(den) - 1
         num = [1] + [0] * poles
         for k in ks:
-            num = _mul_trunc(num, _ch_eps(lam.parts, k))
+            num = _mul_trunc(num, _ch_eps(parts, k))
         if not any(num):
             continue
-        # N/D = sum_j r_j / d0^(j+1) * eps^j, with every r_j an integer
+        # N/D = sum_j s_j / d0^(P+1) * eps^j with integer s_j; every s_i with
+        # i < P is a multiple of d0, so the division by d0 is exact
         d0 = den[0]
-        r: list[int] = []
+        top = d0 ** poles
+        s: list[int] = []
         for j, nj in enumerate(num):
-            acc = nj * d0 ** j
+            acc = 0
             for i in range(1, j + 1):
-                acc -= den[i] * r[j - i] * d0 ** (i - 1)
-            r.append(acc)
-        totals.extend(Fraction(0) for _ in range(poles + 1 - len(totals)))
-        for j, rj in enumerate(r):
-            if rj:
-                totals[poles - j] += Fraction(rj, slopes * d0 ** (j + 1))
+                acc += den[i] * s[j - i]
+            s.append(nj * top - acc // d0)
+        # the fixed point adds s_j / local to eps^(j-P)
+        local = slopes * top * d0
+        grown = lcm(common, local)
+        if grown != common:
+            totals = [t * (grown // common) for t in totals]
+            common = grown
+        totals.extend([0] * (poles + 1 - len(totals)))
+        factor = common // local
+        for j, sj in enumerate(s):
+            totals[poles - j] += sj * factor
     if any(totals[1:]):
         raise LocalizationError("localization sum not regular on diagonal")
     scale = 1
     for k in ks:
         scale *= factorial(k)
-    value = totals[0] / scale if totals else 0
-    return Monomial(value, sum(ks) - 2 * n)
+    return Monomial(Fraction(totals[0], common * scale), sum(ks) - 2 * n)
 
 
 def hilb_integral_via_limit(n: int, ks: Iterable[int] = ()) -> Monomial:

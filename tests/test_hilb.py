@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -171,14 +172,25 @@ def test_limit_oracle_on_every_small_bracket():
 
 def test_regularity_check_fires_on_a_missing_fixed_point(monkeypatch):
     # without the fixed point (3,1) the eps poles of the others do not cancel
-    full = enumerate_partitions
-    monkeypatch.setattr(hilb, "enumerate_partitions",
-                        lambda n: [lam for lam in full(n) if lam.parts != (3, 1)])
+    full = hilb._partition_tuples
+    monkeypatch.setattr(hilb, "_partition_tuples",
+                        lambda n: [parts for parts in full(n) if parts != (3, 1)])
     hilb._bracket.cache_clear()
     with pytest.raises(LocalizationError):
         hilb_integral(4)
     with pytest.raises(LocalizationError):
         hilb_integral(4, [2])
+
+
+def test_bracket_grid_digest():
+    # sha256 of 114 brackets as printed by the Fraction-summing kernel that
+    # preceded the shared-denominator sum; guards n <= 20, where the
+    # via-limit oracle is too slow to compare against
+    shapes = [(), (2,), (4, 0), (3, 3), (2, 2, 2), (6,), (8, 1), (5, 4, 0, 0)]
+    grid = [(n, ks) for n in range(1, 15) for ks in shapes] + [(18, (4,)), (20, (4,))]
+    text = "\n".join(str(hilb_integral(n, ks)) for n, ks in grid)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "35995e25cc33b1a68dae88e6ca787e87aca37e6d4bcc71f029798791956f7486")
 
 
 def test_bracket_memo_runs_the_kernel_once():
