@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .exact import (BivarPoly, ExactError, Monomial, euler_inverse_series,
                     macmahon_series, qs_exp, qs_log, qs_pow_int)
 from .fmcalc import reduce_pure_tilde, tn_integral
-from .hilb import (FixedPointData, LocalizationError, Partition, ch_value,
+from .hilb import (FixedPointData, LocalizationError, ch_value,
                    enumerate_partitions, fixed_point_data, hilb_integral,
                    hilb_integral_via_limit, tangent_weights, taut_weights)
 from .ifun import nonpolar_ifunction
@@ -26,8 +26,8 @@ __all__ = [
     "euler_inverse_series", "macmahon_series",
     "qs_exp", "qs_log", "qs_pow_int",
     "reduce_pure_tilde", "tn_integral",
-    "FixedPointData", "LocalizationError", "Partition",
-    "ch_value", "enumerate_partitions", "fixed_point_data", "hilb_integral",
+    "FixedPointData", "LocalizationError", "ch_value",
+    "enumerate_partitions", "fixed_point_data", "hilb_integral",
     "hilb_integral_via_limit", "tangent_weights", "taut_weights",
     "nonpolar_ifunction",
     "FullCrossingTerm", "WallTerm", "ch_series",

@@ -74,9 +74,8 @@ def _check_range(flag: str, value: int, least: int, most: int) -> None:
 def _cmd_partitions(args):
     _check_range("--n", args.n, 0, MAX_N)
     parts = enumerate_partitions(args.n)
-    result = {"count": len(parts), "partitions": [list(p.parts) for p in parts]}
-    lines = [",".join(str(x) for x in p.parts) if p.parts else "(empty)"
-             for p in parts]
+    result = {"count": len(parts), "partitions": [list(p) for p in parts]}
+    lines = [",".join(str(x) for x in p) if p else "(empty)" for p in parts]
     return {"n": args.n}, result, "\n".join(lines + [f"count: {len(parts)}"])
 
 

@@ -49,7 +49,9 @@ class Monomial:
 
     A zero coefficient forces exp = 0, so zeros of any degree compare
     equal.  Two monomials add only when they share their degree and
-    variable; a zero adds to anything.
+    variable; a zero adds to anything.  ``str()`` of a coefficient with
+    more than 4,300 digits raises ValueError under Python's default
+    int-string conversion limit; ``cli.run`` lifts that limit.
     """
 
     coeff: Fraction

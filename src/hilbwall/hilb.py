@@ -1,9 +1,11 @@
 """Torus localization on the Hilbert scheme of points of the plane.
 
 Fixed points of the full torus (t1, t2) are monomial ideals, indexed by
-partitions; the box in row r and column c (both 0-based) corresponds to the
-monomial x^c y^r.  Per box with arm a and leg l, the tangent space carries
-the hook pair of weights
+partitions.  A partition is its parts tuple, positive and weakly
+decreasing, as :func:`enumerate_partitions` yields it; every function here
+takes that tuple.  The box in row r and column c (both 0-based) corresponds
+to the monomial x^c y^r.  Per box with arm a and leg l, the tangent space
+carries the hook pair of weights
 
     (a + 1) * t1 - l * t2      and      -a * t1 + (l + 1) * t2,
 
@@ -50,31 +52,6 @@ class LocalizationError(ExactError):
     """The fixed-point sum failed an exactness or regularity check."""
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A partition as a weakly decreasing tuple of positive parts."""
-
-    parts: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError("partition parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("partition parts must be weakly decreasing")
-
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        cols = self.parts[0]
-        conj = tuple(sum(1 for p in self.parts if p > c) for c in range(cols))
-        return Partition(conj)
-
-    def __str__(self):
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
 def normalize_insertions(ks: Iterable[int]) -> tuple[int, ...]:
     """Canonical (sorted) form of a multiset of ch indices, all >= 0."""
     out = tuple(sorted(int(k) for k in ks))
@@ -83,8 +60,10 @@ def normalize_insertions(ks: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def _partition_tuples(n: int) -> list[tuple[int, ...]]:
-    """Parts tuples of all partitions of n >= 0, in reverse-lexicographic order."""
+def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
+    """All partitions of n, as parts tuples in reverse-lexicographic order."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, cap: int, prefix: list[int]):
@@ -100,22 +79,21 @@ def _partition_tuples(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n, in reverse-lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return [Partition(p) for p in _partition_tuples(n)]
+def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The transposed partition: its c-th part counts the parts above c."""
+    cols = parts[0] if parts else 0
+    return tuple(sum(1 for p in parts if p > c) for c in range(cols))
 
 
-def tangent_weights(lam: Partition) -> list[tuple[int, int]]:
+def tangent_weights(lam: tuple[int, ...]) -> list[tuple[int, int]]:
     """Tangent weights at the fixed point of ``lam``, as (t1, t2) coefficient pairs.
 
     Each box contributes the hook pair (a+1, -l) and (-a, l+1); see the
     module docstring for how this pairing is pinned.
     """
     out: list[tuple[int, int]] = []
-    conj = lam.conjugate().parts
-    for r, p in enumerate(lam.parts):
+    conj = conjugate(lam)
+    for r, p in enumerate(lam):
         for c in range(p):
             a = p - c - 1
             l = conj[c] - r - 1
@@ -124,9 +102,9 @@ def tangent_weights(lam: Partition) -> list[tuple[int, int]]:
     return out
 
 
-def taut_weights(lam: Partition) -> list[tuple[int, int]]:
+def taut_weights(lam: tuple[int, ...]) -> list[tuple[int, int]]:
     """Monomial weights (c, r) of the tautological fiber, one per box."""
-    return [(c, r) for r, p in enumerate(lam.parts) for c in range(p)]
+    return [(c, r) for r, p in enumerate(lam) for c in range(p)]
 
 
 @dataclass(frozen=True)
@@ -137,11 +115,11 @@ class FixedPointData:
     taut: tuple[tuple[int, int], ...]
 
 
-def fixed_point_data(lam: Partition) -> FixedPointData:
+def fixed_point_data(lam: tuple[int, ...]) -> FixedPointData:
     return FixedPointData(tuple(tangent_weights(lam)), tuple(taut_weights(lam)))
 
 
-def ch_value(lam: Partition, k: int) -> BivarPoly:
+def ch_value(lam: tuple[int, ...], k: int) -> BivarPoly:
     """Chern character component ch_k of the tautological bundle at ``lam``.
 
     Equals sum over boxes of (-(c*t1 + r*t2))^k / k!, with the dual sign
@@ -167,7 +145,7 @@ def _euler_eps(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     eps^P, and ``slopes`` is the product of the P pole slopes b.  Returns
     (D coefficients, slopes).
     """
-    tangent = tangent_weights(Partition(parts))
+    tangent = tangent_weights(parts)
     length = sum(1 for (a, b) in tangent if a + b == 0) + 1
     den = [1] + [0] * (length - 1)
     slopes = 1
@@ -187,7 +165,7 @@ def _ch_eps(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
     """k! * ch_k at t = 1: the box sum of (-(c+r) - r*eps)^k through eps^P."""
     poles = len(_euler_eps(parts)[0]) - 1
     out = [0] * (poles + 1)
-    for (c, r) in taut_weights(Partition(parts)):
+    for (c, r) in taut_weights(parts):
         d = -(c + r)
         for j in range(min(k, poles) + 1):
             out[j] += comb(k, j) * d ** (k - j) * (-r) ** j
@@ -219,7 +197,7 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
 def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
     totals = [0]  # totals[m] / common is the coefficient of eps^-m
     common = 1
-    for parts in _partition_tuples(n):
+    for parts in enumerate_partitions(n):
         den, slopes = _euler_eps(parts)
         poles = len(den) - 1
         num = [1] + [0] * poles

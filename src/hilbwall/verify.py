@@ -20,8 +20,8 @@ from typing import Callable
 
 from .exact import Monomial
 from .fmcalc import reduce_pure_tilde, tn_integral
-from .hilb import (LocalizationError, enumerate_partitions, fixed_point_data,
-                   hilb_integral)
+from .hilb import (LocalizationError, conjugate, enumerate_partitions,
+                   fixed_point_data, hilb_integral)
 from .ifun import nonpolar_ifunction
 from .wallx import (ch_series, dt_identity_check, euler_series_closed,
                     euler_series_wc, expand_full_crossing, expand_wall_terms)
@@ -205,7 +205,7 @@ def check_property_suites() -> tuple[bool, str]:
     for n in range(1, 9):
         for lam in enumerate_partitions(n):
             data = fixed_point_data(lam)
-            conj = fixed_point_data(lam.conjugate())
+            conj = fixed_point_data(conjugate(lam))
             swap = sorted((b, a) for (a, b) in data.tangent)
             if swap != sorted(conj.tangent):
                 return False, f"tangent transpose symmetry fails at {lam}"
@@ -218,7 +218,7 @@ def check_property_suites() -> tuple[bool, str]:
 def _sum_bounded_partitions(total: int) -> list[tuple[int, ...]]:
     """All multisets of positive integers with sum <= total, as weakly
     decreasing tuples."""
-    return [lam.parts for m in range(total + 1) for lam in enumerate_partitions(m)]
+    return [lam for m in range(total + 1) for lam in enumerate_partitions(m)]
 
 
 def check_ifunction_threshold() -> tuple[bool, str]:

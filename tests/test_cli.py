@@ -236,6 +236,11 @@ BYTE_STABLE = [
      '06d392a35588437923e244105840907c23bfd88d69080999735c1eb85fa0aedc'),
     ('partitions --n 4', 'json', 0, '',
      '97ff13023928627ba5bf3311e325e61cc01e47f4673ce9990e2d1c0d481e2c4f'),
+    # the empty partition: the "(empty)" line and the [[]] listing
+    ('partitions --n 0', 'table', 0, '',
+     'a1a3ea31c2e289f1ad67b482acc8a99c6efc698646bf3377c47b86aa748d57bc'),
+    ('partitions --n 0', 'json', 0, '',
+     'b403dd07a0a29cab190577e9e439ef7143ec814bd8405ed15c972564a1ec7458'),
     ('hilb-integral --n 3 --ch 2', 'table', 0, '',
      'fdd70c93607c24a65c57c3d8eefe7024180d679978d0106fcecdf5d4c89d7797'),
     ('hilb-integral --n 3 --ch 2', 'json', 0, '',

@@ -37,7 +37,6 @@ ALLOWED = {
     "exact.BivarPoly": ORACLE,
     "hilb.ch_value": ORACLE,
     "hilb.hilb_integral_via_limit": ORACLE,
-    "hilb.Partition.__str__": "names the partition in a failing verify detail",
     "cli.main": "the console-script entry point; the sweep calls cli.run",
     "wallx.WallTerm.symmetry_factor": EXPANDER,
     "wallx.FullCrossingTerm.k": EXPANDER,
