@@ -23,7 +23,7 @@ from .fmcalc import tn_integral
 from .hilb import enumerate_partitions, hilb_integral
 from .ifun import nonpolar_ifunction
 from .verify import run_all_checks
-from .wallx import ch_series, dt_identity_check, euler_series_closed, euler_series_wc
+from .wallx import ch_series, euler_series_closed, euler_series_wc
 
 
 # partitions of n grow like exp(pi sqrt(2n/3)): n = 40 has 37,338 and the
@@ -32,6 +32,9 @@ MAX_N = 40
 # bounds --order and tn --n: euler --check takes about 0.5 s at order 200
 # and 2.5 s at 400, and tn at n = 10^6 prints a 300,000-digit binomial
 MAX_ORDER = 200
+# bounds |--c| of euler and dt-check: at order 200 the binomials C(c, k) have
+# about 200 times the digits of c, and euler --check took 21 s at |c| = 10^300
+MAX_C = 10**18
 
 
 class UsageError(Exception):
@@ -128,6 +131,7 @@ def _cmd_ch_series(args):
 def _cmd_euler(args):
     if args.d not in (1, 2):
         raise UsageError("--d must be 1 or 2")
+    _check_range("--c", args.c, -MAX_C, MAX_C)
     _check_range("--order", args.order, 0, MAX_ORDER)
     wc = euler_series_wc(args.d, args.c, args.order)
     query = {"d": args.d, "c": args.c, "order": args.order, "check": bool(args.check)}
@@ -145,8 +149,10 @@ def _cmd_euler(args):
 
 
 def _cmd_dt_check(args):
+    _check_range("--c", args.c, -MAX_C, MAX_C)
     _check_range("--order", args.order, 1, MAX_ORDER)
-    holds = dt_identity_check(args.c, args.order)
+    wc = euler_series_wc(3, args.c, args.order)
+    holds = wc == euler_series_closed(3, args.c, args.order)
     query = {"c": args.c, "order": args.order}
     return query, {"identity_holds": holds}, "MATCH" if holds else "MISMATCH"
 
@@ -219,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_euler)
 
     p = sub.add_parser("dt-check",
-                       help="check the MacMahon substitution identity in dimension 3")
+                       help="check the dimension-3 wall-crossing against M(-q)^c")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
     common(p)

@@ -11,9 +11,10 @@ localization kernel.  A power series in q is a plain list: the q^n
 coefficient sits at index n, the series is known through order
 ``len - 1``, and two series are equal only when their lists are, so a
 truncated series never equals a longer one.  Partition and
-plane-partition counts are int lists; integer powers, exponentials and
-logarithms of rational series are one-pass coefficient recurrences that
-return Fraction lists, with no series products.
+plane-partition counts are int lists; the one series routine,
+:func:`qs_pow_int`, raises a series with a nonzero constant term to an
+integer power by a one-pass coefficient recurrence that returns a
+Fraction list, with no series products.
 
 A monomial renders as ``0``, as the plain coefficient at exponent 0, as
 ``C*t`` at exponent 1 and as ``C*t^e`` otherwise, with rationals printed
@@ -198,30 +199,6 @@ def qs_pow_int(s: list, c: int) -> list:
         acc = sum((((c + 1) * j - n) * s[j] * out[n - j]
                    for j in range(1, n + 1)), Fraction(0))
         out.append(acc / (n * s0))
-    return out
-
-
-def qs_exp(s: list) -> list:
-    """Exponential of a series with zero constant term:
-    n*E_n = sum_{j=1..n} j s_j E_{n-j}."""
-    if s[0] != 0:
-        raise ExactError("qs_exp requires constant term 0")
-    out = [Fraction(1)]
-    for n in range(1, len(s)):
-        acc = sum((j * s[j] * out[n - j] for j in range(1, n + 1)), Fraction(0))
-        out.append(acc / n)
-    return out
-
-
-def qs_log(s: list) -> list:
-    """Logarithm of a series with constant term 1:
-    n*L_n = n*s_n - sum_{j=1..n-1} j L_j s_{n-j}."""
-    if s[0] != 1:
-        raise ExactError("qs_log requires constant term 1")
-    out = [Fraction(0)]
-    for n in range(1, len(s)):
-        acc = sum((j * out[j] * s[n - j] for j in range(1, n)), Fraction(0))
-        out.append((n * s[n] - acc) / n)
     return out
 
 

@@ -23,13 +23,12 @@ Three layers:
   localization value of <ch_k>_n for every n, which the verification
   suite checks exactly.
 
-* Euler-characteristic generating series.  In dimensions one and two the
-  wall-crossing collapses to 1 + sum_k C(c_d, k) (F(q) - 1)^k with
-  F = 1/(1-q) or the partition-counting Euler product, matching the
-  closed forms (1/(1-q))^c (Macdonald) and f(q)^c (Goettsche).  In
-  dimension three the same mechanism is the substitution identity
-  exp(c * log M(-q)) = M(-q)^c for the MacMahon function, checked by
-  :func:`dt_identity_check`.
+* Euler-characteristic generating series.  In dimensions one, two and
+  three the wall-crossing collapses to 1 + sum_k C(c_d, k) (F(q) - 1)^k,
+  with F = 1/(1-q), the partition-counting Euler product, or the signed
+  MacMahon function M(-q), the degree-zero Donaldson-Thomas series of
+  C^3.  It matches the closed forms (1/(1-q))^c (Macdonald), f(q)^c
+  (Goettsche) and M(-q)^c.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ from itertools import product
 from math import factorial
 from typing import Iterator
 
-from .exact import Monomial, qs_exp, qs_log, qs_pow_int, \
-    euler_inverse_series, macmahon_series
+from .exact import Monomial, qs_pow_int, euler_inverse_series, macmahon_series
 from .fmcalc import tn_integral
 from .ifun import nonpolar_ifunction
 
@@ -162,13 +160,15 @@ def _base_series(d: int, q_order: int) -> list[int]:
         return [1] * (q_order + 1)  # 1/(1-q)
     if d == 2:
         return euler_inverse_series(q_order)
-    raise ValueError("d must be 1 or 2")
+    if d == 3:  # M(-q)
+        return [(-1) ** n * m for n, m in enumerate(macmahon_series(q_order))]
+    raise ValueError("d must be 1, 2 or 3")
 
 
 def euler_series_wc(d: int, c: int, q_order: int) -> list[int]:
     """Euler-characteristic series by wall-crossing:
     1 + sum_{k>=1} C(c, k) (F(q) - 1)^k with F the d-dependent base, summed
-    in integers; no qs_* routine runs, so the closed form is checked by an
+    in integers; qs_pow_int never runs, so the closed form is checked by an
     independent path."""
     if q_order < 0:
         raise ValueError("q_order must be nonnegative")
@@ -191,14 +191,3 @@ def euler_series_closed(d: int, c: int, q_order: int) -> list[Fraction]:
     if q_order < 0:
         raise ValueError("q_order must be nonnegative")
     return qs_pow_int(_base_series(d, q_order), c)
-
-
-def dt_identity_check(c: int, q_order: int) -> bool:
-    """Check the dimension-three substitution identity
-    exp(c * log M(-q)) = M(-q)^c for the MacMahon function M."""
-    if q_order < 1:
-        raise ValueError("q_order must be >= 1")
-    m_neg = [(-1) ** n * m for n, m in enumerate(macmahon_series(q_order))]
-    lhs = qs_exp([c * x for x in qs_log(m_neg)])
-    rhs = qs_pow_int(m_neg, c)
-    return lhs == rhs

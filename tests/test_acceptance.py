@@ -47,7 +47,7 @@ def test_criterion_06_gottsche():
 
 
 def test_criterion_07_dt_identity():
-    _run(7, "MacMahon substitution identity", verify.check_dt_identity)
+    _run(7, "MacMahon identity", verify.check_dt_identity)
 
 
 def test_criterion_08_dilaton_closure():

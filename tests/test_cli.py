@@ -137,10 +137,14 @@ def test_unknown_command_exits_2(capsys):
     ["euler", "--d", "2", "--c", "24", "--order", "201", "--check"],
     ["dt-check", "--c", "5", "--order", "201"],
     ["tn", "--n", "201", "--psi1", "1", "--psiinf", "398"],
+    ["euler", "--d", "2", "--c", str(10**18 + 1), "--order", "4", "--check"],
+    ["dt-check", "--c", str(-(10**18 + 1)), "--order", "4"],
+    ["dt-check", "--c", "1", "--order", "0"],
 ], ids=["bad-int", "missing-flag", "no-command", "unknown-command", "bad-choice",
         "repeated-k", "repeated-k-alias", "partitions-n-too-large",
         "hilb-n-too-large", "ch-series-order-too-large", "euler-order-too-large",
-        "dt-check-order-too-large", "tn-n-too-large"])
+        "dt-check-order-too-large", "tn-n-too-large", "euler-c-too-large",
+        "dt-check-c-too-small", "dt-check-order-too-small"])
 def test_flag_error_prints_one_line(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
@@ -311,7 +315,7 @@ BYTE_STABLE = [
     ('euler --d 3 --c 1 --order 4', 'json', 2, 'error: --d must be 1 or 2\n',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('verify', 'table', 0, '',
-     '4b9ac5bd1eb84e14c6814aa9379def8ed8d1bf0d31e4540302beae17d52cc9d0'),
+     '625b2a32bc46fb849613e73667ad6e1ad2229740d6b039ce4e360b862404e4e6'),
     # one row per rendering branch of a monomial: zero, exponent 0,
     # exponent 1, and the zero u-monomial of a vanishing or polar bracket
     ('hilb-integral --n 5 --ch 1', 'table', 0, '',

@@ -1,10 +1,10 @@
 from fractions import Fraction as F
-from math import factorial
 
 import pytest
 
 from hilbwall.exact import (ExactError, Monomial, euler_inverse_series,
-                            macmahon_series, qs_exp, qs_log, qs_pow_int)
+                            macmahon_series, qs_pow_int)
+from hilbwall.wallx import euler_series_wc
 
 
 # --- monomials ------------------------------------------------------------------
@@ -50,33 +50,11 @@ def truncated_product(a, b):
             for n in range(min(len(a), len(b)))]
 
 
-def test_qs_log_of_geometric():
-    s = qs_log(qs_pow_int([1, -1, 0, 0, 0, 0], -1))
-    assert s == [0, 1, F(1, 2), F(1, 3), F(1, 4), F(1, 5)]
-
-
 def test_qs_pow_int_negative():
     assert qs_pow_int([1, -1, 0, 0, 0], -2) == [1, 2, 3, 4, 5]
 
 
-def test_qs_exp_of_a_linear_series():
-    for a in (F(1), F(-3), F(2, 5)):
-        s = qs_exp([0, a] + [0] * 7)
-        assert s == [a ** n / factorial(n) for n in range(9)]
-
-
-def test_qs_exp_log_roundtrip():
-    s = [0, 1, F(-1, 3), 0, 0, F(7, 2), 0]
-    assert qs_log(qs_exp(s)) == s
-    t = [1, F(2, 5), 0, -2, 0, 0, 0]
-    assert qs_exp(qs_log(t)) == t
-
-
 def test_qs_preconditions():
-    with pytest.raises(ExactError):
-        qs_exp([1, 0, 0, 0])
-    with pytest.raises(ExactError):
-        qs_log([2, 0, 0, 0])
     for c in (0, 2, -1):
         with pytest.raises(ExactError):
             qs_pow_int([0, 1, 0, 0], c)
@@ -148,10 +126,9 @@ def test_macmahon_times_inverse_factors_is_one():
     assert product == [1] + [0] * order
 
 
-def test_exp_of_log_macmahon():
-    # exp(log M(-q)) recovers M(-q); coefficients from the brute-force
-    # plane-partition count
+def test_euler_wc_dimension_3_is_the_signed_plane_partition_count():
+    # at c = 1 the dimension-3 wall-crossing series is its base M(-q);
+    # coefficients from the brute-force plane-partition count
     order = 4
-    m_neg = [(-1) ** n * m for n, m in enumerate(macmahon_series(order))]
     expected = [(-1) ** n * count_plane_partitions(n) for n in range(order + 1)]
-    assert qs_exp(qs_log(m_neg)) == expected
+    assert euler_series_wc(3, 1, order) == expected

