@@ -9,8 +9,8 @@ the conventions in force.
 
 __version__ = "0.1.0"
 
-from .exact import (BivarPoly, ExactError, Monomial, euler_inverse_series,
-                    macmahon_series, qs_pow_int)
+from .exact import (ExactError, Monomial, euler_inverse_series, macmahon_series,
+                    qs_pow_int)
 from .fmcalc import reduce_pure_tilde, tn_integral
 from .hilb import (FixedPointData, LocalizationError, ch_value,
                    enumerate_partitions, fixed_point_data, hilb_integral,
@@ -21,7 +21,7 @@ from .wallx import (FullCrossingTerm, WallTerm, ch_series, euler_series_closed,
 
 __all__ = [
     "__version__",
-    "BivarPoly", "ExactError", "Monomial",
+    "ExactError", "Monomial",
     "euler_inverse_series", "macmahon_series",
     "qs_pow_int",
     "reduce_pure_tilde", "tn_integral",

@@ -54,7 +54,7 @@ def _monomial_json(m: Monomial) -> dict:
 
 
 def _series_json(s: list) -> dict:
-    # a rational coefficient renders as a constant monomial
+    # coefficients are Monomials or ints; an int renders as a constant monomial
     monomials = [c if isinstance(c, Monomial) else Monomial(c, 0) for c in s]
     return {"variable": "q", "coefficients": [_monomial_json(m)["terms"] for m in monomials]}
 

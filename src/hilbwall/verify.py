@@ -113,7 +113,7 @@ def check_closed_forms() -> tuple[bool, str]:
 
 
 def check_ch_series_golden() -> tuple[bool, str]:
-    for k in (4, 5, 6):
+    for k in range(2, 7):
         got = ch_series(k, 10)
         want = golden_ch_series(k, 10)
         for n in range(11):
@@ -124,7 +124,7 @@ def check_ch_series_golden() -> tuple[bool, str]:
         for n in range(1, 9):
             if got[n] != hilb_integral(n, [k]):
                 return False, f"ch_{k} series disagrees with localization at q^{n}"
-    return True, "ch_4..ch_6 series match closed forms to q^10; k <= 6 matches localization to q^8"
+    return True, "ch_2..ch_6 series match closed forms to q^10; k <= 6 matches localization to q^8"
 
 
 def _euler_identity(d: int, detail: str,

@@ -185,9 +185,10 @@ def euler_series_wc(d: int, c: int, q_order: int) -> list[int]:
     return total
 
 
-def euler_series_closed(d: int, c: int, q_order: int) -> list[Fraction]:
+def euler_series_closed(d: int, c: int, q_order: int) -> list[int]:
     """Closed form of the Euler-characteristic series: the d-dependent base
-    series raised to the integer power c."""
+    series, an integer series with constant term 1, raised to the integer
+    power c by qs_pow_int, in integers."""
     if q_order < 0:
         raise ValueError("q_order must be nonnegative")
     return qs_pow_int(_base_series(d, q_order), c)

@@ -298,6 +298,11 @@ BYTE_STABLE = [
      'cad55fb88b975dab5f8766599ad3532f40de2ce3d17fdc379adee3abdbb383ca'),
     ('euler --d 2 --c 24 --order 60 --check', 'json', 0, '',
      'cf92dc0ef9f3aa102278335cd4ae25eb46ff9801fe8565e05497ee3bce4047e7'),
+    # the integer closed form at the largest |c| and a long order
+    ('euler --d 2 --c -1000000000000000000 --order 100 --check', 'table', 0, '',
+     'f65ce520fdc3a416aa9ee5d03d5e51e2fc798ab381d3f16a1e6d42bc5af01c4e'),
+    ('euler --d 2 --c -1000000000000000000 --order 100 --check', 'json', 0, '',
+     'f37be26ac8b9b588bf93b0fda360a8c487cb74222c8d11010b1f4dd6aff36542'),
     ('dt-check --c 5 --order 40', 'table', 0, '',
      '9160780d5c504b1c6e70039d6782e0de65a7dc60e0eaf55356ff930d2619bc6b'),
     ('dt-check --c 5 --order 40', 'json', 0, '',
@@ -315,7 +320,7 @@ BYTE_STABLE = [
     ('euler --d 3 --c 1 --order 4', 'json', 2, 'error: --d must be 1 or 2\n',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('verify', 'table', 0, '',
-     '625b2a32bc46fb849613e73667ad6e1ad2229740d6b039ce4e360b862404e4e6'),
+     '1501659456815d34658bca2cbc2d52236d8f6e13d6a1534fbd6845b683ca4c90'),
     # one row per rendering branch of a monomial: zero, exponent 0,
     # exponent 1, and the zero u-monomial of a vanishing or polar bracket
     ('hilb-integral --n 5 --ch 1', 'table', 0, '',

@@ -58,6 +58,11 @@ def test_qs_preconditions():
     for c in (0, 2, -1):
         with pytest.raises(ExactError):
             qs_pow_int([0, 1, 0, 0], c)
+    # only an integer series with constant term 1: no coefficient is floored
+    with pytest.raises(ExactError):
+        qs_pow_int([2, 1, 0], 3)
+    with pytest.raises(ExactError):
+        qs_pow_int([1, F(1, 3), 0], 2)
 
 
 # --- partition and plane-partition counting oracles --------------------------
@@ -117,7 +122,7 @@ def test_macmahon_series_counts_plane_partitions():
 
 
 def test_macmahon_times_inverse_factors_is_one():
-    order = 8
+    order = 30
     product = macmahon_series(order)
     for m in range(1, order + 1):
         factor = [1] + [0] * order

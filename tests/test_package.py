@@ -1,10 +1,11 @@
 """Package-level guards: the public export list, and the verify checks that
-must compare their series at the order they ask for and see a wrong base."""
+must compare their series at the order they ask for and see a wrong base or
+a wrong coefficient."""
 
 import hilbwall
 from hilbwall import verify, wallx
 from hilbwall.exact import euler_inverse_series
-from hilbwall.wallx import euler_series_closed, euler_series_wc
+from hilbwall.wallx import ch_series, euler_series_closed, euler_series_wc
 
 
 def test_all_exports_resolve_once():
@@ -36,3 +37,16 @@ def test_gottsche_check_fails_on_a_wrong_base(monkeypatch):
     passed, detail = verify.check_gottsche()
     assert not passed
     assert detail == "dimension-2 base series differs from the independent count"
+
+
+def test_ch_series_check_compares_k2_to_q10(monkeypatch):
+    # localization covers k = 2 only to q^8, so the closed form must see q^10
+    def wrong_at_q10(k, order):
+        series = ch_series(k, order)
+        if k == 2 and order >= 10:
+            series[10] = series[10] + series[10]
+        return series
+    monkeypatch.setattr(verify, "ch_series", wrong_at_q10)
+    passed, detail = verify.check_ch_series_golden()
+    assert not passed
+    assert detail == "ch_2 series differs at q^10"

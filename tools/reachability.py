@@ -34,7 +34,6 @@ from hilbwall.cli import run
 ORACLE = "the rational-limit oracle that the tests hold the kernel against"
 EXPANDER = "expander weights for the multi-insertion series (ROADMAP item 1)"
 ALLOWED = {
-    "exact.BivarPoly": ORACLE,
     "hilb.ch_value": ORACLE,
     "hilb.hilb_integral_via_limit": ORACLE,
     "cli.main": "the console-script entry point; the sweep calls cli.run",
