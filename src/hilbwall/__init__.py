@@ -16,8 +16,8 @@ from .hilb import (FixedPointData, LocalizationError, ch_value,
                    enumerate_partitions, fixed_point_data, hilb_integral,
                    hilb_integral_via_limit, tangent_weights, taut_weights)
 from .ifun import nonpolar_ifunction
-from .wallx import (FullCrossingTerm, WallTerm, ch_series, euler_series_closed,
-                    euler_series_wc, expand_full_crossing, expand_wall_terms)
+from .wallx import (ch_series, euler_series_closed, euler_series_wc,
+                    expand_full_crossing, expand_wall_terms)
 
 __all__ = [
     "__version__",
@@ -29,7 +29,6 @@ __all__ = [
     "enumerate_partitions", "fixed_point_data", "hilb_integral",
     "hilb_integral_via_limit", "tangent_weights", "taut_weights",
     "nonpolar_ifunction",
-    "FullCrossingTerm", "WallTerm", "ch_series",
-    "euler_series_closed", "euler_series_wc",
+    "ch_series", "euler_series_closed", "euler_series_wc",
     "expand_full_crossing", "expand_wall_terms",
 ]

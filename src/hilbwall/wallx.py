@@ -2,11 +2,14 @@
 
 Three layers:
 
-* Combinatorial term expanders.  Crossing the single wall at 1/n0 sums
-  over k >= 1 factors (k * n0 <= n) and ordered distributions of the
-  insertion indices into a retained set and k blocks, weighted by 1/k!.
-  Crossing every wall at once sums over ordered compositions of n into
-  positive blocks, each insertion assigned to one block.
+* Combinatorial term expanders, whose terms are plain tuples.  Crossing
+  the single wall at 1/n0 sums over k >= 1 factors (k * n0 <= n) and
+  ordered distributions of the insertion indices into a retained set and
+  k blocks; a term is ``(k, retained, blocks)``.  Crossing every wall at
+  once sums over ordered compositions of n into positive blocks, each
+  insertion assigned to one block; a term is its tuple of blocks
+  ``(size, insertions)``.  A term with k blocks weighs 1/k!, which a
+  caller computes from k = ``len(blocks)``.
 
 * The ch_k series pipeline.  Every nonpolar one-end contribution C * u^a
   seeds one stratum sum, and :func:`ch_series` restricts it to each fixed
@@ -33,8 +36,6 @@ Three layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import factorial
 from typing import Iterator
@@ -44,54 +45,25 @@ from .fmcalc import tn_integral
 from .ifun import nonpolar_ifunction
 
 
-@dataclass(frozen=True)
-class WallTerm:
-    """One summand of a single-wall crossing: k end components of weight n0,
-    a retained insertion set and k ordered blocks."""
-
-    k: int
-    retained: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    n_prime: int
-
-    @property
-    def symmetry_factor(self) -> Fraction:
-        return Fraction(1, factorial(self.k))
+def _distribute(m: int, slots: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every placement of the insertions 0..m-1 into ``slots`` ordered slots,
+    each slot listing its insertions in increasing order."""
+    for assignment in product(range(slots), repeat=m):
+        yield tuple(tuple(i for i, s in enumerate(assignment) if s == b)
+                    for b in range(slots))
 
 
-@dataclass(frozen=True)
-class FullCrossingTerm:
-    """One summand of the full crossing: an ordered composition of n with
-    the insertions distributed over the blocks."""
-
-    blocks: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def symmetry_factor(self) -> Fraction:
-        return Fraction(1, factorial(self.k))
-
-
-def expand_wall_terms(n: int, num_insertions: int, n0: int) -> list[WallTerm]:
-    """All terms of the wall-crossing at 1/n0 for a size-n bracket."""
+def expand_wall_terms(n: int, num_insertions: int, n0: int) -> list[tuple]:
+    """All terms of the wall-crossing at 1/n0 for a size-n bracket, as
+    ``(k, retained, blocks)``: k end components of weight n0 (k * n0 <= n),
+    the retained insertions and k ordered blocks.  A term weighs 1/k!."""
     if not 1 <= n0 <= n:
         raise ValueError("the wall needs 1 <= n0 <= n")
     if num_insertions < 0:
         raise ValueError("num_insertions must be nonnegative")
-    out: list[WallTerm] = []
-    for k in range(1, n // n0 + 1):
-        n_prime = n - k * n0
-        # slot 0 is the retained set N'; slots 1..k are the blocks
-        for assignment in product(range(k + 1), repeat=num_insertions):
-            retained = tuple(i for i, s in enumerate(assignment) if s == 0)
-            blocks = tuple(
-                tuple(i for i, s in enumerate(assignment) if s == b)
-                for b in range(1, k + 1))
-            out.append(WallTerm(k, retained, blocks, n_prime))
-    return out
+    return [(k, slots[0], slots[1:])
+            for k in range(1, n // n0 + 1)
+            for slots in _distribute(num_insertions, k + 1)]
 
 
 def _compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -104,21 +76,17 @@ def _compositions(n: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def expand_full_crossing(n: int, num_insertions: int) -> list[FullCrossingTerm]:
-    """All terms of the crossing from the Hilbert side to the FM side."""
+def expand_full_crossing(n: int, num_insertions: int) -> list[tuple]:
+    """All terms of the crossing from the Hilbert side to the FM side, each a
+    tuple of blocks ``(size, insertions)``: an ordered composition of n with
+    every insertion in one block.  A term of k blocks weighs 1/k!."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if num_insertions < 0:
         raise ValueError("num_insertions must be nonnegative")
-    out: list[FullCrossingTerm] = []
-    for sizes in _compositions(n):
-        k = len(sizes)
-        for assignment in product(range(k), repeat=num_insertions):
-            blocks = tuple(
-                (sizes[b], tuple(i for i, s in enumerate(assignment) if s == b))
-                for b in range(k))
-            out.append(FullCrossingTerm(blocks))
-    return out
+    return [tuple(zip(sizes, slots))
+            for sizes in _compositions(n)
+            for slots in _distribute(num_insertions, len(sizes))]
 
 
 def ch_series(k: int, q_order: int) -> list[Monomial]:

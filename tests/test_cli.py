@@ -320,7 +320,7 @@ BYTE_STABLE = [
     ('euler --d 3 --c 1 --order 4', 'json', 2, 'error: --d must be 1 or 2\n',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('verify', 'table', 0, '',
-     '1501659456815d34658bca2cbc2d52236d8f6e13d6a1534fbd6845b683ca4c90'),
+     'c54b89663b18cded2f2d2a075f16428023533b86c95aecf7f570c3357388b960'),
     # one row per rendering branch of a monomial: zero, exponent 0,
     # exponent 1, and the zero u-monomial of a vanishing or polar bracket
     ('hilb-integral --n 5 --ch 1', 'table', 0, '',

@@ -1,11 +1,12 @@
 """Package-level guards: the public export list, and the verify checks that
-must compare their series at the order they ask for and see a wrong base or
-a wrong coefficient."""
+must compare their series at the order they ask for and see a wrong base, a
+wrong coefficient or a repeated term."""
 
 import hilbwall
 from hilbwall import verify, wallx
-from hilbwall.exact import euler_inverse_series
-from hilbwall.wallx import ch_series, euler_series_closed, euler_series_wc
+from hilbwall.exact import euler_inverse_series, macmahon_series
+from hilbwall.wallx import (ch_series, euler_series_closed, euler_series_wc,
+                            expand_full_crossing, expand_wall_terms)
 
 
 def test_all_exports_resolve_once():
@@ -37,6 +38,40 @@ def test_gottsche_check_fails_on_a_wrong_base(monkeypatch):
     passed, detail = verify.check_gottsche()
     assert not passed
     assert detail == "dimension-2 base series differs from the independent count"
+
+
+def test_dt_check_fails_on_a_wrong_base(monkeypatch):
+    # both sides read the mutated MacMahon counts, so only the plane-partition
+    # count sees them
+    def wrong_plane_partition_counts(order):
+        counts = macmahon_series(order)
+        counts[4] += 1
+        return counts
+    monkeypatch.setattr(wallx, "macmahon_series", wrong_plane_partition_counts)
+    passed, detail = verify.check_dt_identity()
+    assert not passed
+    assert detail == "dimension-3 base series differs from the independent count"
+
+
+def test_combinatorics_check_fails_on_a_repeated_term(monkeypatch):
+    # a repeated term leaves the set of terms unchanged, so only the count sees it
+    def repeat_full(n, m):
+        terms = expand_full_crossing(n, m)
+        return terms + terms[:1] if (n, m) == (3, 2) else terms
+
+    def repeat_wall(n, m, n0):
+        terms = expand_wall_terms(n, m, n0)
+        return terms + terms[-1:] if (n, m, n0) == (4, 2, 1) else terms
+
+    monkeypatch.setattr(verify, "expand_full_crossing", repeat_full)
+    passed, detail = verify.check_combinatorics()
+    assert not passed
+    assert detail == "full-crossing terms differ at n=3, m=2"
+    monkeypatch.setattr(verify, "expand_full_crossing", expand_full_crossing)
+    monkeypatch.setattr(verify, "expand_wall_terms", repeat_wall)
+    passed, detail = verify.check_combinatorics()
+    assert not passed
+    assert detail == "wall terms differ at n=4, m=2, n0=1"
 
 
 def test_ch_series_check_compares_k2_to_q10(monkeypatch):

@@ -26,15 +26,13 @@ def test_wall_terms_counts():
 def test_wall_terms_structure():
     terms = expand_wall_terms(3, 0, 2)
     (term,) = terms
-    assert term.k == 1 and term.n_prime == 1 and term.blocks == ((),)
-    assert term.symmetry_factor == F(1, 1)
-    for term in expand_wall_terms(4, 2, 1):
-        seen = set(term.retained)
-        for block in term.blocks:
+    assert term == (1, (), ((),))
+    for k, retained, blocks in expand_wall_terms(4, 2, 1):
+        assert len(blocks) == k
+        seen = set(retained)
+        for block in blocks:
             seen |= set(block)
         assert seen == {0, 1}
-        assert term.n_prime == 4 - term.k
-        assert term.symmetry_factor == F(1, factorial(term.k))
 
 
 def test_wall_terms_counts_against_formula():
@@ -48,7 +46,7 @@ def test_wall_terms_counts_against_formula():
 
 def test_wall_terms_stable_under_relabeling():
     n, m, n0 = 3, 3, 1
-    base = {(t.k, t.retained, t.blocks) for t in expand_wall_terms(n, m, n0)}
+    base = set(expand_wall_terms(n, m, n0))
     for perm in permutations(range(m)):
         relabeled = set()
         for (k, retained, blocks) in base:
@@ -69,7 +67,7 @@ def test_wall_spec_validation():
 
 def test_full_crossing_compositions():
     terms = expand_full_crossing(3, 0)
-    sizes = [tuple(size for size, _ in t.blocks) for t in terms]
+    sizes = [tuple(size for size, _ in t) for t in terms]
     assert sorted(sizes) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
     assert len(expand_full_crossing(5, 0)) == 16
     for n in range(1, 11):
@@ -80,8 +78,8 @@ def test_full_crossing_with_insertion():
     terms = expand_full_crossing(2, 1)
     assert len(terms) == 3
     for t in terms:
-        assert sum(size for size, _ in t.blocks) == 2
-        assigned = [i for _, ins in t.blocks for i in ins]
+        assert sum(size for size, _ in t) == 2
+        assigned = [i for _, ins in t for i in ins]
         assert assigned == [0]
 
 

@@ -32,14 +32,10 @@ from hilbwall.cli import run
 # Code that no command reaches, kept on purpose, as "module.qualname"; a
 # class name covers all of its methods.  A new entry needs a reason.
 ORACLE = "the rational-limit oracle that the tests hold the kernel against"
-EXPANDER = "expander weights for the multi-insertion series (ROADMAP item 1)"
 ALLOWED = {
     "hilb.ch_value": ORACLE,
     "hilb.hilb_integral_via_limit": ORACLE,
     "cli.main": "the console-script entry point; the sweep calls cli.run",
-    "wallx.WallTerm.symmetry_factor": EXPANDER,
-    "wallx.FullCrossingTerm.k": EXPANDER,
-    "wallx.FullCrossingTerm.symmetry_factor": EXPANDER,
 }
 
 COMMANDS = [
