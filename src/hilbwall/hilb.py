@@ -23,16 +23,17 @@ monomial C * t^(K - 2n), K the total ch degree, so t = 1 loses nothing,
 the kernel works with integer eps-series only, and the result is a
 :class:`~hilbwall.exact.Monomial`.  At a fixed point with P pole factors
 (tangent weights a*t1 + b*t2 whose diagonal part a + b vanishes) the
-Euler class is eps^P times the product of the pole slopes b
-times the non-pole factors (a+b) + b*eps; the numerator prod k_i! ch_{k_i}
-is the box sum of (-(c+r) - r*eps)^k, multiplied out.  Both are known
-through eps^P, and one power-series division, exact in integers once
-scaled by slopes * d0^(P+1) (d0 the constant term of D), gives the
-contribution to eps^-P .. eps^0.  The partitions are summed as integers
-over one shared denominator, the lcm of these scales, and the only
-Fraction is built at the end.  The sum is regular at eps = 0; surviving
-negative powers signal a convention bug and raise
-:class:`LocalizationError`.  The only caches are the two integer
+Euler class is eps^P times the product of the pole slopes b times D, the
+product of the non-pole factors (a+b) + b*eps; the numerator
+prod k_i! ch_{k_i} is the box sum of (-(c+r) - r*eps)^k.  Both are known
+through eps^P.  One power-series division per fixed point, done once in
+its cache, gives d0^(P+1) / D (d0 = D(0)), integral through eps^P, and the
+scale slopes * d0^(P+1); a bracket multiplies it by the cached ch lists
+into its contribution to eps^-P .. eps^0 over that scale.  The partitions
+are summed as integers over one shared denominator, the lcm of these
+scales, and the only Fraction is built at the end.  The sum is regular at
+eps = 0; surviving negative powers signal a convention bug and raise
+:class:`LocalizationError`.  The only caches are these two integer
 eps-lists per fixed point, keyed by the parts tuple, and the last
 BRACKET_CACHE_SIZE brackets; weight data is recomputed when asked for.
 
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .exact import ExactError, Monomial
 
@@ -145,12 +146,12 @@ def ch_value(lam: tuple[int, ...], k: int) -> dict[tuple[int, int], Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _euler_eps(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Tangent Euler class at t = 1, split as eps^P * slopes * D(eps).
+def _inverse_euler(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Scaled inverse of the tangent Euler class eps^P * slopes * D(eps) at t = 1.
 
     D is the product of the non-pole factors (a+b) + b*eps, known through
     eps^P, and ``slopes`` is the product of the P pole slopes b.  Returns
-    (D coefficients, slopes).
+    (d0^(P+1) / D through eps^P, slopes * d0^(P+1)), d0 = D(0).
     """
     tangent = tangent_weights(parts)
     length = sum(1 for (a, b) in tangent if a + b == 0) + 1
@@ -164,13 +165,20 @@ def _euler_eps(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         for j in range(length - 1, 0, -1):
             den[j] = den[j] * w + den[j - 1] * b
         den[0] *= w
-    return tuple(den), slopes
+    # the eps^j coefficient of 1/D has denominator d0^(j+1), so every sum
+    # below is a multiple of d0 and the division by d0 is exact
+    d0 = den[0]
+    inv = [d0 ** (length - 1)]
+    for j in range(1, length):
+        inv.append(-sum(den[i] * inv[j - i] for i in range(1, j + 1)) // d0)
+    return tuple(inv), slopes * d0 ** length
 
 
 @lru_cache(maxsize=None)
 def _ch_eps(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """k! * ch_k at t = 1: the box sum of (-(c+r) - r*eps)^k through eps^P."""
-    poles = len(_euler_eps(parts)[0]) - 1
+    """k! * ch_k at t = 1: the box sum of (-(c+r) - r*eps)^k through eps^P,
+    a factor that brackets multiply into the cached inverse Euler class."""
+    poles = len(_inverse_euler(parts)[0]) - 1
     out = [0] * (poles + 1)
     for (c, r) in taut_weights(parts):
         d = -(c + r)
@@ -179,7 +187,7 @@ def _ch_eps(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mul_trunc(a: list[int], b: tuple[int, ...]) -> list[int]:
+def _mul_trunc(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two eps power series, truncated to the length of ``a``."""
     return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
 
@@ -205,33 +213,20 @@ def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
     totals = [0]  # totals[m] / common is the coefficient of eps^-m
     common = 1
     for parts in enumerate_partitions(n):
-        den, slopes = _euler_eps(parts)
-        poles = len(den) - 1
-        num = [1] + [0] * poles
+        s, local = _inverse_euler(parts)
         for k in ks:
-            num = _mul_trunc(num, _ch_eps(parts, k))
-        if not any(num):
+            s = _mul_trunc(s, _ch_eps(parts, k))
+        if not any(s):
             continue
-        # N/D = sum_j s_j / d0^(P+1) * eps^j with integer s_j; every s_i with
-        # i < P is a multiple of d0, so the division by d0 is exact
-        d0 = den[0]
-        top = d0 ** poles
-        s: list[int] = []
-        for j, nj in enumerate(num):
-            acc = 0
-            for i in range(1, j + 1):
-                acc += den[i] * s[j - i]
-            s.append(nj * top - acc // d0)
-        # the fixed point adds s_j / local to eps^(j-P)
-        local = slopes * top * d0
         grown = lcm(common, local)
         if grown != common:
             totals = [t * (grown // common) for t in totals]
             common = grown
-        totals.extend([0] * (poles + 1 - len(totals)))
+        totals.extend([0] * (len(s) - len(totals)))
+        # the fixed point adds s_j / local to eps^(j-P), so totals[P - j]
         factor = common // local
-        for j, sj in enumerate(s):
-            totals[poles - j] += sj * factor
+        for m, sj in enumerate(reversed(s)):
+            totals[m] += sj * factor
     if any(totals[1:]):
         raise LocalizationError("localization sum not regular on diagonal")
     scale = 1

@@ -127,19 +127,18 @@ def check_ch_series_golden() -> tuple[bool, str]:
     return True, "ch_2..ch_6 series match closed forms to q^10; k <= 6 matches localization to q^8"
 
 
-def _euler_identity(d: int, detail: str,
-                    base: list[int] | None = None) -> tuple[bool, str]:
+def _euler_identity(d: int, detail: str, base: list[int]) -> tuple[bool, str]:
     """Wall-crossing against the closed form in dimension d, |c| <= 6, to q^20;
     a series that stops short of q^20 fails rather than compares on a prefix.
     Both sides read one base series F, and (1 + (F - 1))^c = F^c for every F,
-    so a given ``base`` (an independent count of F) is also compared with the
-    c = 1 wall-crossing series, which is F itself."""
+    so ``base``, an independent count of F, is also compared with the c = 1
+    wall-crossing series, which is F itself."""
     for c in range(-6, 7):
         wc, closed = euler_series_wc(d, c, 20), euler_series_closed(d, c, 20)
         if len(wc) != 21 or len(closed) != 21:
             return False, (f"dimension-{d} series at c={c} known to q^{len(wc) - 1} "
                            f"and q^{len(closed) - 1}, not q^20")
-        if c == 1 and base is not None and wc != base:
+        if c == 1 and wc != base:
             return False, f"dimension-{d} base series differs from the independent count"
         if wc != closed:
             return False, f"dimension-{d} series mismatch at c={c}"
@@ -147,7 +146,12 @@ def _euler_identity(d: int, detail: str,
 
 
 def check_macdonald() -> tuple[bool, str]:
-    return _euler_identity(1, "wall-crossing equals (1/(1-q))^c to q^20 for |c| <= 6")
+    # Hilb^n(C) has one torus fixed point, the ideal (x^n): one one-row diagram
+    fixed_points = [sum(1 for lam in enumerate_partitions(n) if len(lam) <= 1)
+                    for n in range(21)]
+    return _euler_identity(
+        1, "base equals the fixed-point count of Hilb^n(C); wall-crossing "
+           "equals (1/(1-q))^c to q^20 for |c| <= 6", fixed_points)
 
 
 def check_gottsche() -> tuple[bool, str]:

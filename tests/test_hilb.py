@@ -218,11 +218,31 @@ def test_cold_bracket_caches_only_eps_lists():
     for cache in caches:
         cache.cache_clear()
     hilb_integral(8, [2, 3])
-    # 22 partitions of 8: one Euler eps-list each, one ch eps-list per k, one bracket
+    # 22 partitions of 8: one inverse Euler eps-list each, one ch eps-list
+    # per k, one bracket
     assert sum(cache.cache_info().currsize for cache in caches) == 22 + 44 + 1
     lam = (3, 1)
     data = fixed_point_data(lam)
     assert (data.tangent, data.taut) == (tuple(tangent_weights(lam)), tuple(taut_weights(lam)))
+
+
+def test_inverse_euler_inverts_the_tangent_euler_class():
+    points = [lam for n in range(1, 11) for lam in enumerate_partitions(n)]
+    assert len(points) == 138
+    for lam in points:
+        # D, the non-pole factors (a+b) + b*eps through eps^P, and the pole slopes
+        tangent = tangent_weights(lam)
+        poles = sum(1 for a, b in tangent if a + b == 0)
+        den, slopes = [1] + [0] * poles, 1
+        for a, b in tangent:
+            if a + b == 0:
+                slopes *= b
+            else:
+                den = [(a + b) * x + b * y for x, y in zip(den, [0] + den)]
+        inv, local = hilb._inverse_euler(lam)
+        d0 = den[0]
+        assert hilb._mul_trunc(list(inv), den) == [d0 ** (poles + 1)] + [0] * poles, lam
+        assert local == slopes * d0 ** (poles + 1), lam
 
 
 def test_insertions_are_a_multiset():

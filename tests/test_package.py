@@ -28,6 +28,21 @@ def test_euler_checks_fail_on_truncated_series(monkeypatch):
         assert detail == f"dimension-{d} series at c=-6 known to q^10 and q^10, not q^20"
 
 
+def test_macdonald_check_fails_on_a_wrong_base(monkeypatch):
+    # both sides read the mutated base, so only the one-row diagram count sees it
+    base_series = wallx._base_series
+
+    def wrong_base(d, order):
+        counts = base_series(d, order)
+        if d == 1:
+            counts[4] += 1
+        return counts
+    monkeypatch.setattr(wallx, "_base_series", wrong_base)
+    passed, detail = verify.check_macdonald()
+    assert not passed
+    assert detail == "dimension-1 base series differs from the independent count"
+
+
 def test_gottsche_check_fails_on_a_wrong_base(monkeypatch):
     # both sides read the mutated base, so only the fixed-point count sees it
     def wrong_partition_counts(order):
