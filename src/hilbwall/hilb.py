@@ -26,15 +26,18 @@ the kernel works with integer eps-series only, and the result is a
 Euler class is eps^P times the product of the pole slopes b times D, the
 product of the non-pole factors (a+b) + b*eps; the numerator
 prod k_i! ch_{k_i} is the box sum of (-(c+r) - r*eps)^k.  Both are known
-through eps^P.  One power-series division per fixed point, done once in
-its cache, gives d0^(P+1) / D (d0 = D(0)), integral through eps^P, and the
-scale slopes * d0^(P+1); a bracket multiplies it by the cached ch lists
-into its contribution to eps^-P .. eps^0 over that scale.  The partitions
-are summed as integers over one shared denominator, the lcm of these
-scales, and the only Fraction is built at the end.  The sum is regular at
-eps = 0; surviving negative powers signal a convention bug and raise
-:class:`LocalizationError`.  The only caches are these two integer
-eps-lists per fixed point, keyed by the parts tuple, and the last
+through eps^P.  One power-series division per fixed point gives
+d0^(P+1) / D (d0 = D(0)), integral through eps^P, and the scale
+local = slopes * d0^(P+1).  The kernel table of n keeps, for every
+partition of n, that inverse and common // local, where common, the lcm
+of all the scales, is the one denominator the table shares; the ch table
+of (n, k) keeps the k! ch_k lists aligned with its rows.  A bracket zips
+the table with its ch tables, multiplies each row into its contribution to
+eps^-P .. eps^0, and sums the rows as integers over common; the only
+Fraction is built at the end.  The sum is regular at eps = 0; surviving
+negative powers signal a convention bug and raise
+:class:`LocalizationError`.  The only caches are these tables, one per n
+and one per (n, k), kept for the life of the process, and the last
 BRACKET_CACHE_SIZE brackets; weight data is recomputed when asked for.
 
 The rational-limit cross-check :func:`hilb_integral_via_limit` works on the
@@ -145,13 +148,13 @@ def ch_value(lam: tuple[int, ...], k: int) -> dict[tuple[int, int], Fraction]:
     return {e: Fraction(c, kfac) for e, c in total.items() if c}
 
 
-@lru_cache(maxsize=None)
 def _inverse_euler(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Scaled inverse of the tangent Euler class eps^P * slopes * D(eps) at t = 1.
 
     D is the product of the non-pole factors (a+b) + b*eps, known through
     eps^P, and ``slopes`` is the product of the P pole slopes b.  Returns
-    (d0^(P+1) / D through eps^P, slopes * d0^(P+1)), d0 = D(0).
+    (d0^(P+1) / D through eps^P, slopes * d0^(P+1)), d0 = D(0).  Uncached:
+    :func:`_fixed_points` keeps the result in the table of n.
     """
     tangent = tangent_weights(parts)
     length = sum(1 for (a, b) in tangent if a + b == 0) + 1
@@ -175,15 +178,33 @@ def _inverse_euler(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _ch_eps(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """k! * ch_k at t = 1: the box sum of (-(c+r) - r*eps)^k through eps^P,
-    a factor that brackets multiply into the cached inverse Euler class."""
-    poles = len(_inverse_euler(parts)[0]) - 1
-    out = [0] * (poles + 1)
-    for (c, r) in taut_weights(parts):
-        d = -(c + r)
-        for j in range(min(k, poles) + 1):
-            out[j] += comb(k, j) * d ** (k - j) * (-r) ** j
+def _fixed_points(n: int) -> tuple[tuple[tuple, ...], int]:
+    """The kernel table of n: one row (parts, inv, common // local) per
+    partition, in :func:`enumerate_partitions` order, and the shared
+    denominator common, the lcm of every row's scale local.
+
+    Unbounded: evicting tables made repeated brackets about four times
+    slower, and a bound on the count of n bounds no bytes, since a cold
+    ch_2 bracket keeps 0.2 MB of tables at n = 16 and 76 MB at n = 40.
+    """
+    rows = [(parts, *_inverse_euler(parts)) for parts in enumerate_partitions(n)]
+    common = lcm(*(local for _, _, local in rows))
+    return tuple((parts, inv, common // local) for parts, inv, local in rows), common
+
+
+@lru_cache(maxsize=None)
+def _ch_eps(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """k! * ch_k at t = 1 for each row of :func:`_fixed_points`, aligned
+    with it: the box sum of (-(c+r) - r*eps)^k through eps^P, a factor
+    that brackets multiply into the row's inverse Euler class."""
+    out = []
+    for parts, inv, _ in _fixed_points(n)[0]:
+        ch = [0] * len(inv)
+        for (c, r) in taut_weights(parts):
+            d = -(c + r)
+            for j in range(min(k, len(inv) - 1) + 1):
+                ch[j] += comb(k, j) * d ** (k - j) * (-r) ** j
+        out.append(tuple(ch))
     return tuple(out)
 
 
@@ -210,21 +231,13 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
 
 @lru_cache(maxsize=BRACKET_CACHE_SIZE)
 def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
-    totals = [0]  # totals[m] / common is the coefficient of eps^-m
-    common = 1
-    for parts in enumerate_partitions(n):
-        s, local = _inverse_euler(parts)
-        for k in ks:
-            s = _mul_trunc(s, _ch_eps(parts, k))
-        if not any(s):
-            continue
-        grown = lcm(common, local)
-        if grown != common:
-            totals = [t * (grown // common) for t in totals]
-            common = grown
-        totals.extend([0] * (len(s) - len(totals)))
+    rows, common = _fixed_points(n)
+    # totals[m] / common is the coefficient of eps^-m
+    totals = [0] * max(len(inv) for _, inv, _ in rows)
+    for (_, s, factor), *chs in zip(rows, *(_ch_eps(n, k) for k in ks)):
+        for ch in chs:
+            s = _mul_trunc(s, ch)
         # the fixed point adds s_j / local to eps^(j-P), so totals[P - j]
-        factor = common // local
         for m, sj in enumerate(reversed(s)):
             totals[m] += sj * factor
     if any(totals[1:]):

@@ -35,51 +35,28 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# frozen generating-series shapes for the ch_k brackets, k = 2 .. 6
-
-
-def _shifted_exp(order: int, shift_q: int, shift_t: int,
-                 scale: Fraction) -> list[Monomial]:
-    """scale * q^shift_q * t^shift_t * exp(q/t^2), truncated at ``order``."""
-    coeffs = [Monomial(0, 0)] * (order + 1)
-    for m in range(order - shift_q + 1):
-        coeffs[m + shift_q] = Monomial(scale * Fraction(1, factorial(m)), -2 * m + shift_t)
-    return coeffs
+# frozen generating-series shapes for the ch_k brackets, k = 2 .. 6: each
+# series is exp(q/t^2) times a polynomial in q, kept as {power of q:
+# coefficient}.  Never computed from hilb, or check 4 would compare the code
+# with itself.
+_CH_SERIES_FACTORS = {
+    2: {2: Fraction(-1, 4)},
+    3: {2: Fraction(1, 6)},
+    4: {2: Fraction(-1, 16), 3: Fraction(1, 36)},
+    5: {2: Fraction(1, 60), 3: Fraction(-1, 30)},
+    6: {2: Fraction(-1, 288), 3: Fraction(23, 1080), 4: Fraction(-1, 576)},
+}
 
 
 def golden_ch_series(k: int, order: int) -> list[Monomial]:
-    """The closed generating-series forms of the ch_k brackets, k = 2 .. 6."""
-    zero = [Monomial(0, 0)] * (order + 1)
-    if k == 2:
-        return _shifted_exp(order, 2, -2, Fraction(-1, 4))
-    if k == 3:
-        return _shifted_exp(order, 2, -1, Fraction(1, 6))
-    if k == 4:
-        s = _shifted_exp(order, 3, -2, Fraction(-5, 144))
-        extra = list(zero)
-        extra[2] = Monomial(Fraction(-1, 16), 0)
-        for n in range(4, order + 1):
-            extra[n] = Monomial(Fraction(n - 3, 16 * factorial(n - 2)), -2 * (n - 2))
-        return [a + b for a, b in zip(s, extra)]
-    if k == 5:
-        s = _shifted_exp(order, 3, -1, Fraction(-1, 60))
-        extra = list(zero)
-        extra[2] = Monomial(Fraction(1, 60), 1)
-        for n in range(4, order + 1):
-            extra[n] = Monomial(Fraction(-(n - 3), 60 * factorial(n - 2)), -2 * (n - 2) + 1)
-        return [a + b for a, b in zip(s, extra)]
-    if k == 6:
-        s = _shifted_exp(order, 4, -2, Fraction(77, 4320))
-        extra = list(zero)
-        extra[2] = Monomial(Fraction(-1, 288), 2)
-        if order >= 3:
-            extra[3] = Monomial(Fraction(77, 4320), 0)
-        for n in range(5, order + 1):
-            e = -2 * (n - 3)
-            extra[n] = (Monomial(Fraction(-77 * (n - 4), 4320 * factorial(n - 3)), e)
-                        + Monomial(Fraction(-1, 576 * (n - 2) * factorial(n - 5)), e))
-        return [a + b for a, b in zip(s, extra)]
-    raise ValueError("closed series shapes are recorded for k = 2 .. 6")
+    """The closed generating-series forms of the ch_k brackets, k = 2 .. 6:
+    the q^n coefficient is sum_j c_j / (n - j)! times t^(k - 2n), over the
+    frozen factor sum_j c_j q^j."""
+    if k not in _CH_SERIES_FACTORS:
+        raise ValueError("closed series shapes are recorded for k = 2 .. 6")
+    factor = _CH_SERIES_FACTORS[k]
+    return [Monomial(sum(c / factorial(n - j) for j, c in factor.items() if j <= n), k - 2 * n)
+            for n in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,23 @@ def test_limit_oracle_on_every_small_bracket():
         assert hilb_integral(n, ks) == hilb_integral_via_limit(n, ks), (n, ks)
 
 
-def test_regularity_check_fires_on_a_missing_fixed_point(monkeypatch):
+@pytest.fixture
+def hilb_caches():
+    """Every hilb lru_cache, cleared before and after the test, so that a
+    kernel table built under a patch never reaches another test."""
+    caches = [v for v in vars(hilb).values() if callable(getattr(v, "cache_info", None))]
+    for cache in caches:
+        cache.cache_clear()
+    yield caches
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_regularity_check_fires_on_a_missing_fixed_point(monkeypatch, hilb_caches):
     # without the fixed point (3,1) the eps poles of the others do not cancel
     full = hilb.enumerate_partitions
     monkeypatch.setattr(hilb, "enumerate_partitions",
                         lambda n: [parts for parts in full(n) if parts != (3, 1)])
-    hilb._bracket.cache_clear()
     with pytest.raises(LocalizationError):
         hilb_integral(4)
     with pytest.raises(LocalizationError):
@@ -213,14 +224,14 @@ def test_input_validation():
         ch_value((2,), -1)
 
 
-def test_cold_bracket_caches_only_eps_lists():
-    caches = [v for v in vars(hilb).values() if callable(getattr(v, "cache_info", None))]
-    for cache in caches:
-        cache.cache_clear()
+def test_cold_bracket_caches_only_eps_lists(hilb_caches):
     hilb_integral(8, [2, 3])
-    # 22 partitions of 8: one inverse Euler eps-list each, one ch eps-list
-    # per k, one bracket
-    assert sum(cache.cache_info().currsize for cache in caches) == 22 + 44 + 1
+    # one table with a row per partition of 8, one ch table per k, one bracket
+    assert len(hilb._fixed_points(8)[0]) == 22
+    assert sum(cache.cache_info().currsize for cache in hilb_caches) == 1 + 2 + 1
+    # a second bracket at n = 8 adds no table: the partitions are enumerated once
+    hilb_integral(8, [2])
+    assert sum(cache.cache_info().currsize for cache in hilb_caches) == 1 + 2 + 2
     lam = (3, 1)
     data = fixed_point_data(lam)
     assert (data.tangent, data.taut) == (tuple(tangent_weights(lam)), tuple(taut_weights(lam)))

@@ -1,6 +1,9 @@
-"""Package-level guards: the public export list, and the verify checks that
-must compare their series at the order they ask for and see a wrong base, a
-wrong coefficient or a repeated term."""
+"""Package-level guards: the public export list, the frozen closed forms of
+the ch_k series, and the verify checks that must compare their series at the
+order they ask for and see a wrong base, a wrong coefficient or a repeated
+term."""
+
+import hashlib
 
 import hilbwall
 from hilbwall import verify, wallx
@@ -100,3 +103,25 @@ def test_ch_series_check_compares_k2_to_q10(monkeypatch):
     passed, detail = verify.check_ch_series_golden()
     assert not passed
     assert detail == "ch_2 series differs at q^10"
+
+
+def test_golden_ch_series_reproduces_the_closed_forms():
+    # sha256 of str(golden_ch_series(k, 40)) as printed by the hand-expanded
+    # closed forms that the table of factors replaced
+    digests = {
+        2: "a306de236b6e7996449be72ce6366c6b7678d312745ee21163af571f5e2ff13f",
+        3: "6bfafff992a86aec1eb77b065538f6e0df05a9f06281666a739a4a1fbd67156a",
+        4: "502e5d82d020f91e3b6ced9a813600addccc46c23b705a9ab9d735a0363ed0db",
+        5: "fac88248c48afad7dfae7c4c1a3efd0519bb911b0020ac8ab360bf733810503f",
+        6: "ab40e1c07373fcb9bc95d849405f9e8dbe03100f50bd4707072b54b9a838427a",
+    }
+    for k, digest in digests.items():
+        text = str(verify.golden_ch_series(k, 40))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, k
+
+
+def test_golden_ch_series_is_a_prefix_at_every_order():
+    for k in range(2, 7):
+        full = verify.golden_ch_series(k, 10)
+        for m in range(4):
+            assert verify.golden_ch_series(k, m) == full[:m + 1], (k, m)
