@@ -22,7 +22,7 @@ from .exact import ExactError, Monomial
 from .fmcalc import tn_integral
 from .hilb import enumerate_partitions, hilb_integral
 from .ifun import nonpolar_ifunction
-from .verify import run_all_checks
+from .verify import ALL_CHECKS
 from .wallx import ch_series, euler_series_closed, euler_series_wc
 
 
@@ -158,13 +158,13 @@ def _cmd_dt_check(args):
 
 
 def _cmd_verify(args):
-    results = run_all_checks()
-    all_passed = all(r.passed for r in results)
+    results = [(name, *check()) for name, check in ALL_CHECKS]
+    all_passed = all(passed for _, passed, _ in results)
     result = {"passed": all_passed,
-              "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                         for r in results]}
-    lines = [f"[{i:2d}/{len(results)}] {'PASS' if r.passed else 'FAIL'}  "
-             f"{r.name}: {r.detail}" for i, r in enumerate(results, 1)]
+              "checks": [{"name": name, "passed": passed, "detail": detail}
+                         for name, passed, detail in results]}
+    lines = [f"[{i:2d}/{len(results)}] {'PASS' if passed else 'FAIL'}  {name}: {detail}"
+             for i, (name, passed, detail) in enumerate(results, 1)]
     lines.append("all checks passed" if all_passed else "SOME CHECKS FAILED")
     return {}, result, "\n".join(lines), 0 if all_passed else 1
 

@@ -26,19 +26,18 @@ powers of c_d, as the q-series are.  The empty bracket is [1].
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import ceil, comb
+from math import comb
 
 
-def tn_integral(n: int, a: int, b: int) -> Fraction:
-    """The integral of psi1^a * psi_inf^b over T_n, exact."""
+def tn_integral(n: int, a: int, b: int) -> int:
+    """The integral of psi1^a * psi_inf^b over T_n, an integer."""
     if n < 2:
         raise ValueError("the tree locus T_n needs n >= 2")
     if a < 0 or b < 0:
         raise ValueError("psi powers must be nonnegative")
     if a + b != 2 * n - 3:
-        return Fraction(0)
-    return Fraction((-1) ** ceil(a / 2) * comb(n - 2, a // 2))
+        return 0
+    return (-1) ** ((a + 1) // 2) * comb(n - 2, a // 2)
 
 
 def reduce_pure_tilde(k: int, d: int) -> list[int]:

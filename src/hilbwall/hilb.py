@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from operator import index
 from typing import Iterable, Sequence
 
 from .exact import ExactError, Monomial
@@ -62,8 +63,9 @@ class LocalizationError(ExactError):
 
 
 def normalize_insertions(ks: Iterable[int]) -> tuple[int, ...]:
-    """Canonical (sorted) form of a multiset of ch indices, all >= 0."""
-    out = tuple(sorted(int(k) for k in ks))
+    """Canonical (sorted) form of a multiset of ch indices, all >= 0; a
+    non-integer index raises TypeError."""
+    out = tuple(sorted(map(index, ks)))
     if any(k < 0 for k in out):
         raise ValueError("ch indices must be nonnegative")
     return out
@@ -220,10 +222,13 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
     """Integral of prod_i ch_{k_i} over the n-point Hilbert scheme of the
     plane, equivariant for the diagonal torus, as the monomial C * t^(K-2n).
 
-    The empty insertion list gives 1/(n! t^(2n)).  The last
+    The empty insertion list gives 1/(n! t^(2n)).  A non-integer n or
+    index raises TypeError, whatever the caches hold.  The last
     BRACKET_CACHE_SIZE brackets are memoized; a Monomial is immutable, so
     callers may share the returned value.
     """
+    # index() rejects 3.0, which would otherwise hit a cached (3, ...) bracket
+    n = index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     return _bracket(n, normalize_insertions(ks))

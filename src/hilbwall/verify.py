@@ -13,7 +13,6 @@ enumeration.  Everything is exact; a check fails only on a true mismatch.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable
@@ -25,13 +24,6 @@ from .hilb import (LocalizationError, conjugate, enumerate_partitions,
 from .ifun import nonpolar_ifunction
 from .wallx import (ch_series, euler_series_closed, euler_series_wc,
                     expand_full_crossing, expand_wall_terms)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +190,7 @@ def check_tn_calculus() -> tuple[bool, str]:
     for n in range(3, 11):
         for a in range(0, 2 * n - 2):
             b = 2 * n - 3 - a
-            recursed = Fraction(0)
+            recursed = 0
             if a >= 2:
                 recursed -= tn_integral(n - 1, a - 2, b)
             if b >= 2:
@@ -315,6 +307,8 @@ def check_combinatorics() -> tuple[bool, str]:
     return True, "2^(n-1) compositions (n <= 12); expander terms match recursive enumeration"
 
 
+# the one list of checks, each returning (passed, detail): `hilbwall verify`
+# and tests/test_acceptance.py both run it as it stands
 ALL_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("normalization of the empty bracket", check_normalization),
     ("vanishing of the ch_1 brackets", check_ch1_vanishing),
@@ -329,11 +323,3 @@ ALL_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("nonpolar threshold of one-end contributions", check_ifunction_threshold),
     ("wall-crossing combinatorics", check_combinatorics),
 ]
-
-
-def run_all_checks() -> list[CheckResult]:
-    results = []
-    for name, fn in ALL_CHECKS:
-        passed, detail = fn()
-        results.append(CheckResult(name, passed, detail))
-    return results

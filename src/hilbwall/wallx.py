@@ -40,7 +40,7 @@ from itertools import product
 from math import factorial
 from typing import Iterator
 
-from .exact import Monomial, qs_pow_int, euler_inverse_series, macmahon_series
+from .exact import ExactError, Monomial, qs_pow_int, euler_inverse_series, macmahon_series
 from .fmcalc import tn_integral
 from .ifun import nonpolar_ifunction
 
@@ -109,15 +109,11 @@ def ch_series(k: int, q_order: int) -> list[Monomial]:
         # one-point stratum: u -> t, divided by the normal weight t^2
         coeffs[n] = coeffs[n] + Monomial(c, a - 2)
         # tree loci: u -> -psi1, and 1/(t^2 (t - psi_inf)) = sum_j psi_inf^j
-        # t^(-3-j), of which only j = 2N - 3 - a meets the dimension of T_N
-        for big_n in range(2, q_order - n + 2):
+        # t^(-3-j), of which only j = 2N - 3 - a meets the dimension of T_N;
+        # j >= 0 from N = (a + 4) // 2 on, where T_N weighs +-C(N-2, a//2) != 0
+        for big_n in range(max(2, (a + 4) // 2), q_order - n + 2):
             j = 2 * big_n - 3 - a
-            if j < 0:
-                continue
-            weight = tn_integral(big_n, a, j)
-            if weight == 0:
-                continue
-            scale = c * (-1) ** a * weight / factorial(big_n - 1)
+            scale = c * (-1) ** a * tn_integral(big_n, a, j) / factorial(big_n - 1)
             idx = n + big_n - 1
             coeffs[idx] = coeffs[idx] + Monomial(scale, -3 - j)
     return coeffs
@@ -137,7 +133,9 @@ def euler_series_wc(d: int, c: int, q_order: int) -> list[int]:
     """Euler-characteristic series by wall-crossing:
     1 + sum_{k>=1} C(c, k) (F(q) - 1)^k with F the d-dependent base, summed
     in integers; qs_pow_int never runs, so the closed form is checked by an
-    independent path."""
+    independent path.  A non-integer c raises the closed form's ExactError."""
+    if not isinstance(c, int):
+        raise ExactError("series power must be an integer")
     if q_order < 0:
         raise ValueError("q_order must be nonnegative")
     g = [0] + _base_series(d, q_order)[1:]  # F - 1

@@ -1,71 +1,36 @@
-"""The acceptance gate: one test per criterion of the verification suite.
+"""The acceptance gate: one test per check of ``verify.ALL_CHECKS``.
 
-Each test prints a single pass/fail line; the two criteria that carry
+Each test prints a single pass/fail line; the two checks that carry
 runtime budgets (the empty-bracket normalization and the ch_k series
-checks) also assert them.  Run with ``pytest -v -s tests/test_acceptance.py``
-to see the lines as they go by.
+checks) also assert them.  The tests are made from the list, so a check
+added to it is tested here too; each keeps the name
+``test_criterion_NN_<check without its check_ prefix>``, so
+``-k criterion_01`` names one test.  Run with
+``pytest -v -s tests/test_acceptance.py`` to see the lines as they go by.
 """
 
 import time
 
 from hilbwall import verify
 
-
-def _run(index, name, fn, budget=None):
-    t0 = time.perf_counter()
-    passed, detail = fn()
-    elapsed = time.perf_counter() - t0
-    status = "PASS" if passed else "FAIL"
-    print(f"[ACCEPTANCE {index:2d}/12] {status}  {name}: {detail}")
-    assert passed, detail
-    if budget is not None:
-        assert elapsed < budget, f"{name} took {elapsed:.2f}s (budget {budget}s)"
+BUDGETS = {verify.check_normalization: 1.0, verify.check_ch_series_golden: 30.0}
 
 
-def test_criterion_01_normalization():
-    _run(1, "empty-bracket normalization", verify.check_normalization, budget=1.0)
+def _acceptance_test(index, name, check):
+    def test():
+        t0 = time.perf_counter()
+        passed, detail = check()
+        elapsed = time.perf_counter() - t0
+        status = "PASS" if passed else "FAIL"
+        print(f"[ACCEPTANCE {index:2d}/{len(verify.ALL_CHECKS)}] {status}  {name}: {detail}")
+        assert passed, detail
+        if check in BUDGETS:
+            assert elapsed < BUDGETS[check], f"{name} took {elapsed:.2f}s (budget {BUDGETS[check]}s)"
+
+    test.__name__ = f"test_criterion_{index:02d}_{check.__name__.removeprefix('check_')}"
+    return test
 
 
-def test_criterion_02_ch1_vanishing():
-    _run(2, "ch_1 vanishing", verify.check_ch1_vanishing)
-
-
-def test_criterion_03_closed_forms():
-    _run(3, "ch_2 and ch_3 closed forms", verify.check_closed_forms)
-
-
-def test_criterion_04_ch_series_golden():
-    _run(4, "ch_k generating series", verify.check_ch_series_golden, budget=30.0)
-
-
-def test_criterion_05_macdonald():
-    _run(5, "Macdonald identity", verify.check_macdonald)
-
-
-def test_criterion_06_gottsche():
-    _run(6, "Goettsche identity", verify.check_gottsche)
-
-
-def test_criterion_07_dt_identity():
-    _run(7, "MacMahon identity", verify.check_dt_identity)
-
-
-def test_criterion_08_dilaton_closure():
-    _run(8, "dilaton closure", verify.check_dilaton_closure)
-
-
-def test_criterion_09_tn_calculus():
-    _run(9, "tree-locus calculus", verify.check_tn_calculus)
-
-
-def test_criterion_10_property_suites():
-    _run(10, "homogeneity, regularity, transpose symmetry",
-         verify.check_property_suites)
-
-
-def test_criterion_11_ifunction_threshold():
-    _run(11, "nonpolar threshold", verify.check_ifunction_threshold)
-
-
-def test_criterion_12_combinatorics():
-    _run(12, "wall-crossing combinatorics", verify.check_combinatorics)
+for _index, (_name, _check) in enumerate(verify.ALL_CHECKS, 1):
+    _test = _acceptance_test(_index, _name, _check)
+    globals()[_test.__name__] = _test

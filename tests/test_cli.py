@@ -164,9 +164,7 @@ def test_long_exact_values_print_in_full(capsys):
 
 def test_verify_cli_wiring_pass(monkeypatch, capsys):
     from hilbwall import cli as climod
-    from hilbwall.verify import CheckResult
-    monkeypatch.setattr(climod, "run_all_checks",
-                        lambda: [CheckResult("alpha", True, "fine")])
+    monkeypatch.setattr(climod, "ALL_CHECKS", [("alpha", lambda: (True, "fine"))])
     code, out, _ = invoke(capsys, "verify")
     assert code == 0
     assert "PASS" in out and "all checks passed" in out
@@ -174,10 +172,8 @@ def test_verify_cli_wiring_pass(monkeypatch, capsys):
 
 def test_verify_cli_wiring_fail(monkeypatch, capsys):
     from hilbwall import cli as climod
-    from hilbwall.verify import CheckResult
-    monkeypatch.setattr(climod, "run_all_checks",
-                        lambda: [CheckResult("alpha", True, "fine"),
-                                 CheckResult("beta", False, "broken")])
+    monkeypatch.setattr(climod, "ALL_CHECKS", [("alpha", lambda: (True, "fine")),
+                                               ("beta", lambda: (False, "broken"))])
     code, out, _ = invoke(capsys, "verify")
     assert code == 1
     assert "FAIL" in out and "SOME CHECKS FAILED" in out
@@ -185,9 +181,7 @@ def test_verify_cli_wiring_fail(monkeypatch, capsys):
 
 def test_verify_cli_json_shape(monkeypatch, capsys):
     from hilbwall import cli as climod
-    from hilbwall.verify import CheckResult
-    monkeypatch.setattr(climod, "run_all_checks",
-                        lambda: [CheckResult("alpha", True, "fine")])
+    monkeypatch.setattr(climod, "ALL_CHECKS", [("alpha", lambda: (True, "fine"))])
     code, out, _ = invoke(capsys, "verify", "--format", "json")
     assert code == 0
     doc = json.loads(out)

@@ -9,7 +9,7 @@ from hilbwall.wallx import euler_series_wc
 
 # --- monomials ------------------------------------------------------------------
 
-def test_lp_zero_pruning_and_predicates():
+def test_monomial_zero_pruning_and_predicates():
     # a zero coefficient forces the exponent to 0
     zero = Monomial(F(0), 2)
     assert zero.exp == 0 and zero.terms == {} and zero.is_zero()
@@ -20,7 +20,7 @@ def test_lp_zero_pruning_and_predicates():
         Monomial(0.5, 1)
 
 
-def test_lp_rendering_is_canonical():
+def test_monomial_rendering_is_canonical():
     assert str(Monomial(F(1, 2), -1)) == "1/2*t^-1"
     assert str(Monomial(F(2), 0)) == "2"
     assert str(Monomial(F(-3), 3)) == "-3*t^3"

@@ -1,4 +1,3 @@
-from fractions import Fraction as F
 from math import comb, factorial
 
 import pytest
@@ -16,30 +15,10 @@ def test_tn_integral_base_values():
 def test_tn_integral_examples():
     assert tn_integral(3, 3, 0) == 1
     assert tn_integral(4, 2, 3) == -2
+    assert type(tn_integral(4, 2, 3)) is int
     assert tn_integral(3, 1, 1) == 0
     assert tn_integral(3, 0, 3) == 1
     assert tn_integral(5, 0, 0) == 0  # below the dimension 2N - 3 of T_5
-
-
-def test_tn_integral_degree_selection():
-    for n in range(2, 11):
-        for a in range(0, 26):
-            for b in range(0, 26 - a):
-                if tn_integral(n, a, b) != 0:
-                    assert a + b == 2 * n - 3
-
-
-def test_tn_integral_square_removal_recursion():
-    # removing psi1^2 flips the sign, removing psi_inf^2 does not
-    for n in range(3, 11):
-        for a in range(0, 2 * n - 2):
-            b = 2 * n - 3 - a
-            expected = F(0)
-            if a >= 2:
-                expected -= tn_integral(n - 1, a - 2, b)
-            if b >= 2:
-                expected += tn_integral(n - 1, a, b - 2)
-            assert tn_integral(n, a, b) == expected
 
 
 def test_tn_integral_validation():

@@ -224,6 +224,19 @@ def test_input_validation():
         ch_value((2,), -1)
 
 
+def test_non_integer_input_is_rejected_whatever_the_caches_hold(hilb_caches):
+    with pytest.raises(TypeError):
+        hilb_integral(3, [2.5])  # not <ch_2>_3
+    with pytest.raises(TypeError):
+        nonpolar_ifunction(3, [2.0])
+    with pytest.raises(TypeError):
+        hilb_integral(3.0)
+    # the cached key (3, ()) equals (3.0, ()), so a cached bracket must not answer
+    hilb_integral(3)
+    with pytest.raises(TypeError):
+        hilb_integral(3.0)
+
+
 def test_cold_bracket_caches_only_eps_lists(hilb_caches):
     hilb_integral(8, [2, 3])
     # one table with a row per partition of 8, one ch table per k, one bracket

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from hilbwall import hilb, wallx
-from hilbwall.exact import Monomial
+from hilbwall.exact import ExactError, Monomial
 from hilbwall.hilb import hilb_integral
 from hilbwall.wallx import (ch_series, euler_series_closed, euler_series_wc,
                             expand_full_crossing, expand_wall_terms)
@@ -171,6 +171,13 @@ def test_euler_validation():
         euler_series_wc(4, 1, 4)
     with pytest.raises(ValueError):
         euler_series_closed(1, 1, -1)
+
+
+def test_euler_wc_rejects_a_non_integer_power_as_the_closed_form_does():
+    # an exact calculator returns no floats: the sum alone would give 2.0 at q^1
+    for series in (euler_series_wc, euler_series_closed):
+        with pytest.raises(ExactError, match="series power must be an integer"):
+            series(1, 2.5, 4)
 
 
 # --- the dimension-three substitution identity ----------------------------------
