@@ -27,10 +27,13 @@ powers of c_d, as the q-series are.  The empty bracket is [1].
 from __future__ import annotations
 
 from math import comb
+from operator import index
 
 
 def tn_integral(n: int, a: int, b: int) -> int:
-    """The integral of psi1^a * psi_inf^b over T_n, an integer."""
+    """The integral of psi1^a * psi_inf^b over T_n, an integer; a
+    non-integer argument raises TypeError."""
+    n, a, b = index(n), index(a), index(b)
     if n < 2:
         raise ValueError("the tree locus T_n needs n >= 2")
     if a < 0 or b < 0:

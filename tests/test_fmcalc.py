@@ -28,6 +28,13 @@ def test_tn_integral_validation():
         tn_integral(3, -1, 4)
 
 
+def test_tn_integral_rejects_non_integers():
+    # 0.5 + 0.5 misses the dimension 2N - 3 and would otherwise read 0
+    for args in [(4, 0.5, 0.5), (4, 2.0, 3.0), (4.0, 2, 3)]:
+        with pytest.raises(TypeError):
+            tn_integral(*args)
+
+
 # --- dilaton steps ---------------------------------------------------------------
 
 def test_dilaton_step_examples():

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -62,6 +62,13 @@ def test_conjugate_is_involutive():
     for n in range(0, 9):
         for lam in enumerate_partitions(n):
             assert conjugate(conjugate(lam)) == lam
+
+
+def test_conjugate_counts_the_parts_above_each_column():
+    for n in range(0, 13):
+        for lam in enumerate_partitions(n):
+            cols = lam[0] if lam else 0
+            assert conjugate(lam) == tuple(sum(1 for p in lam if p > c) for c in range(cols))
 
 
 # --- box data -----------------------------------------------------------------
@@ -198,6 +205,16 @@ def test_bracket_grid_digest():
         "35995e25cc33b1a68dae88e6ca787e87aca37e6d4bcc71f029798791956f7486")
 
 
+def test_bracket_grid_digest_at_larger_n():
+    # sha256 of the 16 brackets as printed by the kernel that summed every
+    # partition itself; guards the transposes the table leaves out above
+    # n = 20, where no closed form covers these shapes
+    shapes = [(), (2,), (4, 0), (3, 3), (2, 2, 2), (6,), (8, 1), (5, 4, 0, 0)]
+    text = "\n".join(str(hilb_integral(n, ks)) for n in (21, 24) for ks in shapes)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a860d6d9d55ff1be2d1c3f6cbd8ed7e43d0a2ec8af51cdc0c77d977ace7f482c")
+
+
 def test_bracket_memo_runs_the_kernel_once():
     hilb._bracket.cache_clear()
     nonpolar_ifunction(5, [4, 2])
@@ -239,8 +256,9 @@ def test_non_integer_input_is_rejected_whatever_the_caches_hold(hilb_caches):
 
 def test_cold_bracket_caches_only_eps_lists(hilb_caches):
     hilb_integral(8, [2, 3])
-    # one table with a row per partition of 8, one ch table per k, one bracket
-    assert len(hilb._fixed_points(8)[0]) == 22
+    # one table with a row per transpose pair of partitions of 8, one ch
+    # table per k, one bracket
+    assert len(hilb._fixed_points(8)[0]) == 12
     assert sum(cache.cache_info().currsize for cache in hilb_caches) == 1 + 2 + 1
     # a second bracket at n = 8 adds no table: the partitions are enumerated once
     hilb_integral(8, [2])
@@ -267,6 +285,67 @@ def test_inverse_euler_inverts_the_tangent_euler_class():
         d0 = den[0]
         assert hilb._mul_trunc(list(inv), den) == [d0 ** (poles + 1)] + [0] * poles, lam
         assert local == slopes * d0 ** (poles + 1), lam
+
+
+def distinct_odd_part_count(n):
+    """Partitions of n into distinct odd parts, as many as the self-conjugate
+    partitions of n: the counting oracle for the table's rows."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1, 2):
+        for total in range(n, part - 1, -1):
+            counts[total] += counts[total - part]
+    return counts[n]
+
+
+def test_table_keeps_one_row_per_transpose_pair():
+    assert [distinct_odd_part_count(n) for n in range(13)] == [
+        1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3]
+    for n in range(1, 13):
+        rows = hilb._fixed_points(n)[0]
+        assert 2 * len(rows) == pentagonal_partition_count(n) + distinct_odd_part_count(n)
+        covered = [lam for parts, _, _, paired in rows
+                   for lam in ((parts, conjugate(parts)) if paired else (parts,))]
+        assert sorted(covered) == sorted(enumerate_partitions(n))
+
+
+def eps_product(lam, ks):
+    """The inverse Euler list of ``lam`` times its k! ch_k lists, computed
+    directly, and the scale local of the list."""
+    s, local = hilb._inverse_euler(lam)
+    for k in ks:
+        ch = [sum(comb(k, j) * (-(c + r)) ** (k - j) * (-r) ** j for c, r in taut_weights(lam))
+              if j <= k else 0 for j in range(len(s))]
+        s = hilb._mul_trunc(s, ch)
+    return list(s), local
+
+
+def test_transpose_gives_the_transposed_row():
+    compared = 0
+    for n in range(1, 11):
+        for parts, _, _, paired in hilb._fixed_points(n)[0]:
+            if not paired:
+                continue
+            for ks in [(), (2,), (3, 1), (4, 0, 2)]:
+                s, local = eps_product(parts, ks)
+                s_t, local_t = eps_product(conjugate(parts), ks)
+                poles = len(s) - 1
+                assert local_t == (-1) ** poles * local
+                # index m holds the coefficient of eps^-m, as in the kernel;
+                # the transpose of the transpose is the row itself
+                for (a, scale_a), (b, scale_b) in [((s, local), (s_t, local_t)),
+                                                   ((s_t, local_t), (s, local))]:
+                    got = hilb._transpose(a[::-1], sum(ks) - 2 * n)
+                    assert [F(c, scale_a) for c in got] == [F(c, scale_b) for c in b[::-1]]
+                    compared += len(got)
+    assert compared == 1736
+
+
+def test_zeroed_transpose_breaks_regularity(monkeypatch, hilb_caches):
+    # without the transposes of the paired rows the eps poles do not cancel
+    monkeypatch.setattr(hilb, "_transpose", lambda pair, d: [0] * len(pair))
+    for n in (2, 3, 4):
+        with pytest.raises(LocalizationError):
+            hilb_integral(n)
 
 
 def test_insertions_are_a_multiset():
