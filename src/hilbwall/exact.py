@@ -98,7 +98,7 @@ def qs_pow_int(s: list[int], c: int) -> list[int]:
     ExactError."""
     if not isinstance(c, int):
         raise ExactError("series power must be an integer")
-    if s[0] != 1:
+    if s[:1] != [1]:
         raise ExactError("qs_pow_int requires the constant term 1")
     out = [1]
     for n in range(1, len(s)):

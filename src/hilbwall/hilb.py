@@ -18,30 +18,32 @@ suite: the empty bracket equals 1/(n! t^(2n)), the ch_1 bracket vanishes,
 and the ch_2 .. ch_6 brackets match their closed forms.
 
 The diagonal one-parameter torus is reached without any rational-function
-arithmetic.  Substitute t1 = t, t2 = t + eps; every bracket is a single
-monomial C * t^(K - 2n), K the total ch degree, so t = 1 loses nothing,
-the kernel works with integer eps-series only, and the result is a
-:class:`~hilbwall.exact.Monomial`.  At a fixed point with P pole factors
-(tangent weights a*t1 + b*t2 whose diagonal part a + b vanishes) the
-Euler class is eps^P times the product of the pole slopes b times D, the
-product of the non-pole factors (a+b) + b*eps; the numerator
-prod k_i! ch_{k_i} is the box sum of (-(c+r) - r*eps)^k.  Both are known
-through eps^P.  One power-series division per fixed point gives
+arithmetic.  Substitute t1 = t - eps, t2 = t + eps; every bracket is a
+single monomial C * t^(K - 2n), K the total ch degree, so t = 1 loses
+nothing, the kernel works with integer eps-series only, and the result is
+a :class:`~hilbwall.exact.Monomial`.  At a fixed point with P pole
+factors (tangent weights a*t1 + b*t2 whose diagonal part a + b vanishes)
+the Euler class is eps^P times the product of the pole slopes b - a times
+D, the product of the non-pole factors (a+b) + (b-a)*eps; the numerator
+prod k_i! ch_{k_i} is the box sum of (-(c+r) + (c-r)*eps)^k.  Both are
+known through eps^P.  One power-series division per fixed point gives
 d0^(P+1) / D (d0 = D(0)), integral through eps^P, and the scale
 local = slopes * d0^(P+1).
 
 Swapping t1 and t2 maps the fixed point of a partition to that of its
-transpose, so the kernel table of n keeps one row per transpose pair, for
-the partition with parts >= its conjugate: its inverse, common // local,
-and whether its transpose is a different partition.  common, the lcm of
-all the scales, is the one denominator of the table; the ch table of
-(n, k) keeps the k! ch_k lists aligned with its rows.  A bracket zips the
-tables, multiplies each row into its contribution to eps^-P .. eps^0, and
-sums the rows as integers over common, the paired ones in a vector of
-their own.  One binomial transform of that vector adds the transposes
-(see :func:`_transpose`), and the only Fraction is built at the end.  The
-sum is regular at eps = 0; surviving negative powers signal a convention
-bug and raise :class:`LocalizationError`.
+transpose, and on this diagonal it is the swap eps -> -eps: a transposed
+fixed point is its partition's term at -eps, and a transpose pair sums to
+twice the even part of one term.  So the kernel table of n keeps one row
+per transpose pair, for the partition with parts >= its conjugate: its
+inverse and weight * common // local, weight 2 for a pair and 1 for a
+self-conjugate partition.  common, the lcm of all the scales, is the one
+denominator of the table; the ch table of (n, k) keeps the k! ch_k lists
+aligned with its rows.  A bracket zips the tables, multiplies each row
+into its contribution to eps^-P .. eps^0, and sums the even powers as
+integers over common; the full sum has no odd powers, and the only
+Fraction is built at the end.  The sum is regular at eps = 0; a surviving
+negative power signals a convention bug and raises
+:class:`LocalizationError`.
 
 The only caches are these tables, one per n and one per (n, k), kept for
 the life of the process, and the last BRACKET_CACHE_SIZE brackets; weight
@@ -50,9 +52,10 @@ sc(n) the self-conjugate partitions; a cold ch_2 bracket at n = 40 keeps
 37 MB of tables and peaks at 59 MB resident (CPython 3.11).
 
 The rational-limit cross-check :func:`hilb_integral_via_limit` works on the
-full torus instead.  It keeps each polynomial in (t1, t2) as a plain map
-``(e1, e2) -> coefficient``, the form :func:`ch_value` returns, and shares
-no arithmetic with the kernel.
+full torus instead and reaches the diagonal along a line of its own.  It
+keeps each polynomial in (t1, t2) as a plain map ``(e1, e2) ->
+coefficient``, the form :func:`ch_value` returns, and shares no arithmetic
+with the kernel.
 """
 
 from __future__ import annotations
@@ -168,8 +171,9 @@ def ch_value(lam: tuple[int, ...], k: int) -> dict[tuple[int, int], Fraction]:
 def _inverse_euler(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Scaled inverse of the tangent Euler class eps^P * slopes * D(eps) at t = 1.
 
-    D is the product of the non-pole factors (a+b) + b*eps, known through
-    eps^P, and ``slopes`` is the product of the P pole slopes b.  Returns
+    D is the product of the non-pole factors (a+b) + (b-a)*eps, known
+    through eps^P, and ``slopes`` is the product of the P pole slopes b - a;
+    the transpose gives D(-eps) and (-1)^P slopes.  Returns
     (d0^(P+1) / D through eps^P, slopes * d0^(P+1)), d0 = D(0).  Uncached:
     :func:`_fixed_points` keeps the result in the table of n.
     """
@@ -178,12 +182,12 @@ def _inverse_euler(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     den = [1] + [0] * (length - 1)
     slopes = 1
     for (a, b) in tangent:
-        w = a + b
+        w, slope = a + b, b - a
         if w == 0:
-            slopes *= b
+            slopes *= slope
             continue
         for j in range(length - 1, 0, -1):
-            den[j] = den[j] * w + den[j - 1] * b
+            den[j] = den[j] * w + den[j - 1] * slope
         den[0] *= w
     # the eps^j coefficient of 1/D has denominator d0^(j+1), so every sum
     # below is a multiple of d0 and the division by d0 is exact
@@ -196,12 +200,12 @@ def _inverse_euler(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def _fixed_points(n: int) -> tuple[tuple[tuple, ...], int, int]:
-    """The kernel table of n: one row (parts, inv, common // local, paired)
+    """The kernel table of n: one row (parts, inv, weight * common // local)
     per transpose pair of partitions, for the member with parts >=
-    conjugate(parts), in :func:`enumerate_partitions` order; ``paired`` is
-    true when the transpose is a different partition, which the table
-    leaves out.  Then the shared denominator common, the lcm of every
-    row's scale local, and the width, the longest inv.
+    conjugate(parts), in :func:`enumerate_partitions` order; the weight is
+    2 when the transpose is a different partition, which the row stands
+    for, and 1 otherwise.  Then the shared denominator common, the lcm of
+    every row's scale local, and the width, the longest inv.
 
     Unbounded: evicting tables made repeated brackets about four times
     slower, and a bound on the count of n bounds no bytes, since a cold
@@ -211,49 +215,26 @@ def _fixed_points(n: int) -> tuple[tuple[tuple, ...], int, int]:
     for parts in enumerate_partitions(n):
         conj = conjugate(parts)
         if parts >= conj:
-            rows.append((parts, *_inverse_euler(parts), parts != conj))
+            rows.append((parts, *_inverse_euler(parts), 1 + (parts != conj)))
     common = lcm(*(local for _, _, local, _ in rows))
-    table = tuple((parts, inv, common // local, paired) for parts, inv, local, paired in rows)
-    return table, common, max(len(inv) for _, inv, _, _ in rows)
+    table = tuple((parts, inv, weight * common // local) for parts, inv, local, weight in rows)
+    return table, common, max(len(inv) for _, inv, _ in table)
 
 
 @lru_cache(maxsize=None)
 def _ch_eps(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """k! * ch_k at t = 1 for each row of :func:`_fixed_points`, aligned
-    with it: the box sum of (-(c+r) - r*eps)^k through eps^P, a factor
-    that brackets multiply into the row's inverse Euler class."""
+    with it: the box sum of (-(c+r) + (c-r)*eps)^k through eps^P, a
+    factor that brackets multiply into the row's inverse Euler class."""
     out = []
-    for parts, inv, _, _ in _fixed_points(n)[0]:
+    for parts, inv, _ in _fixed_points(n)[0]:
         ch = [0] * len(inv)
         for (c, r) in taut_weights(parts):
             d = -(c + r)
             for j in range(min(k, len(inv) - 1) + 1):
-                ch[j] += comb(k, j) * d ** (k - j) * (-r) ** j
+                ch[j] += comb(k, j) * d ** (k - j) * (c - r) ** j
         out.append(tuple(ch))
     return tuple(out)
-
-
-def _transpose(pair: Sequence[int], d: int) -> list[int]:
-    """The transposes of a sum of paired rows: ``pair[m]`` is the sum's
-    eps^-m coefficient, d = K - 2n its degree, and out[M] the eps^-M
-    coefficient of the transposed fixed points.  Swapping t1 and t2 sends
-    a term F(eps) of degree d to (1+eps)^d * F(-eps/(1+eps)), so out[M] is
-    the sum over m >= M of (-1)^m * pair[m] * C(d+m, m-M), with C the
-    binomial of an integer top, which may be negative.  The map is
-    linear, so one call per bracket serves every paired row."""
-    out = [0] * len(pair)
-    for m, c in enumerate(pair):
-        if not c:
-            continue
-        if m % 2:
-            c = -c
-        top = d + m
-        out[m] += c
-        # c runs through (-1)^m * pair[m] * C(top, j); each division is exact
-        for j in range(m):
-            c = c * (top - j) // (j + 1)
-            out[m - j - 1] += c
-    return out
 
 
 def _mul_trunc(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -283,25 +264,21 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
 @lru_cache(maxsize=BRACKET_CACHE_SIZE)
 def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
     rows, common, width = _fixed_points(n)
-    # totals[m] / common is the coefficient of eps^-m from the self-conjugate
-    # rows, pair[m] / common that from the paired rows, without their transposes
+    # totals[m] / common is the coefficient of eps^-2m
     totals = [0] * width
-    pair = [0] * width
-    for (_, s, factor, paired), *chs in zip(rows, *(_ch_eps(n, k) for k in ks)):
+    for (_, s, factor), *chs in zip(rows, *(_ch_eps(n, k) for k in ks)):
         for ch in chs:
             s = _mul_trunc(s, ch)
-        acc = pair if paired else totals
-        # the fixed point adds s_j / local to eps^(j-P), so acc[P - j]
-        for m, sj in enumerate(reversed(s)):
-            acc[m] += sj * factor
-    d = sum(ks) - 2 * n
-    totals = [a + b + c for a, b, c in zip(totals, pair, _transpose(pair, d))]
+        # the fixed point adds s_j / local to eps^(j-P), and with its
+        # transpose only the even powers, so s[-1 - 2m] goes to totals[m]
+        for m, sj in enumerate(s[::-2]):
+            totals[m] += sj * factor
     if any(totals[1:]):
         raise LocalizationError("localization sum not regular on diagonal")
     scale = 1
     for k in ks:
         scale *= factorial(k)
-    return Monomial(Fraction(totals[0], common * scale), d)
+    return Monomial(Fraction(totals[0], common * scale), sum(ks) - 2 * n)
 
 
 def hilb_integral_via_limit(n: int, ks: Iterable[int] = ()) -> Monomial:
@@ -311,11 +288,12 @@ def hilb_integral_via_limit(n: int, ks: Iterable[int] = ()) -> Monomial:
     a single fraction of polynomials in (t1, t2), each a map
     ``(e1, e2) -> coefficient``, expands numerator and denominator around
     the diagonal t2 = t1 - delta, cancels the leading power of delta, and
-    evaluates at delta = 0.  Slow (the common denominator is the product of
-    all fixed-point Euler classes) but structurally independent of the
-    factor-by-factor inversion.  The exponent of the result is the quotient
-    of the leading t-powers, not K - 2n, so comparing with the kernel checks
-    the degree too.
+    evaluates at delta = 0.  That line is not the kernel's t1 = t - eps,
+    t2 = t + eps, so the two paths share no substitution.  Slow (the common
+    denominator is the product of all fixed-point Euler classes) but
+    structurally independent of the factor-by-factor inversion.  The
+    exponent of the result is the quotient of the leading t-powers, not
+    K - 2n, so comparing with the kernel checks the degree too.
     """
     def mul(p: dict, q: dict) -> dict:
         out: dict[tuple[int, int], Fraction] = {}

@@ -62,6 +62,8 @@ def test_qs_preconditions():
     with pytest.raises(ExactError):
         qs_pow_int([2, 1, 0], 3)
     with pytest.raises(ExactError):
+        qs_pow_int([], 2)  # no constant term at all
+    with pytest.raises(ExactError):
         qs_pow_int([1, F(1, 3), 0], 2)
 
 

@@ -272,15 +272,16 @@ def test_inverse_euler_inverts_the_tangent_euler_class():
     points = [lam for n in range(1, 11) for lam in enumerate_partitions(n)]
     assert len(points) == 138
     for lam in points:
-        # D, the non-pole factors (a+b) + b*eps through eps^P, and the pole slopes
+        # D, the non-pole factors (a+b) + (b-a)*eps through eps^P, and the
+        # pole slopes b - a
         tangent = tangent_weights(lam)
         poles = sum(1 for a, b in tangent if a + b == 0)
         den, slopes = [1] + [0] * poles, 1
         for a, b in tangent:
             if a + b == 0:
-                slopes *= b
+                slopes *= b - a
             else:
-                den = [(a + b) * x + b * y for x, y in zip(den, [0] + den)]
+                den = [(a + b) * x + (b - a) * y for x, y in zip(den, [0] + den)]
         inv, local = hilb._inverse_euler(lam)
         d0 = den[0]
         assert hilb._mul_trunc(list(inv), den) == [d0 ** (poles + 1)] + [0] * poles, lam
@@ -301,51 +302,62 @@ def test_table_keeps_one_row_per_transpose_pair():
     assert [distinct_odd_part_count(n) for n in range(13)] == [
         1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3]
     for n in range(1, 13):
-        rows = hilb._fixed_points(n)[0]
+        rows, common, _ = hilb._fixed_points(n)
         assert 2 * len(rows) == pentagonal_partition_count(n) + distinct_odd_part_count(n)
-        covered = [lam for parts, _, _, paired in rows
-                   for lam in ((parts, conjugate(parts)) if paired else (parts,))]
+        covered = []
+        for parts, _, factor in rows:
+            paired = parts != conjugate(parts)
+            # a row stands for its transpose too, so it counts twice
+            assert factor == (1 + paired) * common // hilb._inverse_euler(parts)[1], parts
+            covered += [parts, conjugate(parts)] if paired else [parts]
         assert sorted(covered) == sorted(enumerate_partitions(n))
 
 
 def eps_product(lam, ks):
-    """The inverse Euler list of ``lam`` times its k! ch_k lists, computed
-    directly, and the scale local of the list."""
+    """The inverse Euler list of ``lam`` times its k! ch_k lists, the box sums
+    of (-(c+r) + (c-r)*eps)^k computed directly, and the scale local of the
+    list."""
     s, local = hilb._inverse_euler(lam)
     for k in ks:
-        ch = [sum(comb(k, j) * (-(c + r)) ** (k - j) * (-r) ** j for c, r in taut_weights(lam))
+        ch = [sum(comb(k, j) * (-(c + r)) ** (k - j) * (c - r) ** j for c, r in taut_weights(lam))
               if j <= k else 0 for j in range(len(s))]
         s = hilb._mul_trunc(s, ch)
     return list(s), local
 
 
-def test_transpose_gives_the_transposed_row():
-    compared = 0
-    for n in range(1, 11):
-        for parts, _, _, paired in hilb._fixed_points(n)[0]:
-            if not paired:
-                continue
-            for ks in [(), (2,), (3, 1), (4, 0, 2)]:
-                s, local = eps_product(parts, ks)
-                s_t, local_t = eps_product(conjugate(parts), ks)
-                poles = len(s) - 1
-                assert local_t == (-1) ** poles * local
-                # index m holds the coefficient of eps^-m, as in the kernel;
-                # the transpose of the transpose is the row itself
-                for (a, scale_a), (b, scale_b) in [((s, local), (s_t, local_t)),
-                                                   ((s_t, local_t), (s, local))]:
-                    got = hilb._transpose(a[::-1], sum(ks) - 2 * n)
-                    assert [F(c, scale_a) for c in got] == [F(c, scale_b) for c in b[::-1]]
-                    compared += len(got)
-    assert compared == 1736
+def test_transpose_is_the_row_at_minus_eps():
+    # swapping t1 and t2 is eps -> -eps on the line t1 = t - eps, t2 = t + eps:
+    # the odd coefficients change sign, and so do the P pole slopes
+    points = [lam for n in range(1, 11) for lam in enumerate_partitions(n)]
+    assert len(points) == 138
+    for lam in points:
+        for ks in [(), (2,), (3, 1), (4, 0, 2)]:
+            s, local = eps_product(lam, ks)
+            s_t, local_t = eps_product(conjugate(lam), ks)
+            assert s_t == [(-1) ** j * c for j, c in enumerate(s)], (lam, ks)
+            assert local_t == (-1) ** (len(s) - 1) * local, (lam, ks)
 
 
-def test_zeroed_transpose_breaks_regularity(monkeypatch, hilb_caches):
-    # without the transposes of the paired rows the eps poles do not cancel
-    monkeypatch.setattr(hilb, "_transpose", lambda pair, d: [0] * len(pair))
-    for n in (2, 3, 4):
+def test_paired_rows_counted_once_break_regularity(monkeypatch, hilb_caches):
+    # a row must count for its transpose too; counted once, each pair adds
+    # half its sum, and the eps poles cancel only where the self-conjugate
+    # rows alone are regular.  At n = 2, 3 and 6 they are, so
+    # the sum is regular but wrong there, which check 1 (1/(n! t^(2n)))
+    # catches instead
+    full = hilb._fixed_points
+
+    def once(n):
+        rows, common, width = full(n)
+        rows = tuple((parts, inv, factor // (1 + (parts != conjugate(parts))))
+                     for parts, inv, factor in rows)
+        return rows, common, width
+
+    monkeypatch.setattr(hilb, "_fixed_points", once)
+    for n in (4, 5, 7):
         with pytest.raises(LocalizationError):
             hilb_integral(n)
+    for n in (2, 3, 6):
+        assert hilb_integral(n) != Monomial(F(1, factorial(n)), -2 * n)
 
 
 def test_insertions_are_a_multiset():
