@@ -260,6 +260,8 @@ def run(argv: Optional[list[str]] = None) -> int:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        elif sys.stdout is None:  # started with stdout closed
+            raise OSError("stdout is closed")
         else:
             sys.stdout.write(text)
     except (UsageError, ExactError) as exc:

@@ -24,21 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-Scalar = Union[int, Fraction]
 
 
 class ExactError(ValueError):
     """Domain error in the exact-arithmetic layer."""
-
-
-def _frac(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise ExactError(f"not an exact scalar: {x!r}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +46,11 @@ class Monomial:
     var: str = "t"
 
     def __post_init__(self):
-        coeff = _frac(self.coeff)
+        coeff = self.coeff
+        if isinstance(coeff, int):
+            coeff = Fraction(coeff)
+        elif not isinstance(coeff, Fraction):
+            raise ExactError(f"not an exact scalar: {coeff!r}")
         object.__setattr__(self, "coeff", coeff)
         if coeff == 0:
             object.__setattr__(self, "exp", 0)

@@ -144,6 +144,8 @@ def euler_series_wc(d: int, c: int, q_order: int) -> list[int]:
     binom = 1
     for k in range(1, q_order + 1):
         binom = binom * (c - k + 1) // k  # C(c, k), an exact division
+        if binom == 0:  # c >= 0 and k > c: so is every later C(c, k)
+            break
         power = [0] * k + [sum(power[i] * g[n - i] for i in range(k - 1, n))
                            for n in range(k, q_order + 1)]
         for n in range(k, q_order + 1):

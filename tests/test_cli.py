@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,14 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
     assert "Traceback" not in err and not target.exists()
 
 
+def test_closed_stdout_exits_2_with_one_line(monkeypatch, capsys):
+    # a process started with stdout closed has sys.stdout set to None
+    monkeypatch.setattr(sys, "stdout", None)
+    code = run(["partitions", "--n", "3"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot write output: stdout is closed\n"
+
+
 @pytest.mark.parametrize("error", [ExactError, LocalizationError])
 def test_domain_error_exits_2_with_one_line(monkeypatch, capsys, error):
     from hilbwall import cli as climod
@@ -314,7 +323,7 @@ BYTE_STABLE = [
     ('euler --d 3 --c 1 --order 4', 'json', 2, 'error: --d must be 1 or 2\n',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('verify', 'table', 0, '',
-     '7ab10497c045cf5737fe6f5b723c87b29e7a44c8394daa1d97f1986b5cadb16f'),
+     'a2d7eaa1b6b7e162c7e5889b210c8b3341ea80409ed428449636e067953cfdf7'),
     # one row per rendering branch of a monomial: zero, exponent 0,
     # exponent 1, and the zero u-monomial of a vanishing or polar bracket
     ('hilb-integral --n 5 --ch 1', 'table', 0, '',

@@ -4,6 +4,7 @@ import pytest
 
 from hilbwall.exact import (ExactError, Monomial, euler_inverse_series,
                             macmahon_series, qs_pow_int)
+from hilbwall.verify import _plane_partition_counts
 from hilbwall.wallx import euler_series_wc
 
 
@@ -77,39 +78,6 @@ def count_partitions(n, cap=None):
     return sum(count_partitions(n - p, p) for p in range(min(cap, n), 0, -1))
 
 
-def plane_partition_rows(n, bound):
-    """Count weakly decreasing stacks of rows summing to n, each row below
-    ``bound`` pointwise."""
-    if n == 0:
-        return 1
-    total = 0
-    def rows_under(remaining, limit_parts):
-        # enumerate one row (a partition pointwise below limit_parts)
-        out = []
-        def rec(i, left, row):
-            out.append(tuple(row))
-            if i >= len(limit_parts):
-                return
-            hi = min(limit_parts[i], left, row[-1] if row else left)
-            for v in range(hi, 0, -1):
-                row.append(v)
-                rec(i + 1, left - v, row)
-                row.pop()
-        rec(0, remaining, [])
-        return out
-    for row in rows_under(n, bound):
-        weight = sum(row)
-        if 0 < weight <= n:
-            total += plane_partition_rows(n - weight, row)
-    return total
-
-
-def count_plane_partitions(n):
-    if n == 0:
-        return 1
-    return plane_partition_rows(n, (n,) * n)
-
-
 def test_euler_inverse_series_counts_partitions():
     s = euler_inverse_series(8)
     assert s[:5] == [1, 1, 2, 3, 5] and len(s) == 9
@@ -120,7 +88,8 @@ def test_euler_inverse_series_counts_partitions():
 def test_macmahon_series_counts_plane_partitions():
     s = macmahon_series(5)
     assert s[:4] == [1, 1, 3, 6]
-    assert s == [count_plane_partitions(n) for n in range(6)]
+    # against the brute-force recount of verify's MacMahon check
+    assert s == _plane_partition_counts(5)
 
 
 def test_macmahon_times_inverse_factors_is_one():
@@ -136,6 +105,5 @@ def test_macmahon_times_inverse_factors_is_one():
 def test_euler_wc_dimension_3_is_the_signed_plane_partition_count():
     # at c = 1 the dimension-3 wall-crossing series is its base M(-q);
     # coefficients from the brute-force plane-partition count
-    order = 4
-    expected = [(-1) ** n * count_plane_partitions(n) for n in range(order + 1)]
-    assert euler_series_wc(3, 1, order) == expected
+    expected = [(-1) ** n * pp for n, pp in enumerate(_plane_partition_counts(4))]
+    assert euler_series_wc(3, 1, 4) == expected

@@ -1,5 +1,3 @@
-from math import comb, factorial
-
 import pytest
 
 from hilbwall.fmcalc import reduce_pure_tilde, tn_integral
@@ -58,14 +56,3 @@ def test_reduce_pure_tilde_small():
     assert reduce_pure_tilde(0, 2) == [1]
     assert reduce_pure_tilde(2, 2) == [0, -1, 1]      # c2*(c2 - 1)
     assert reduce_pure_tilde(3, 1) == [0, -2, 3, -1]  # -c(c-1)(c-2)
-
-
-def test_reduce_pure_tilde_matches_integer_binomials():
-    # evaluate at integer points: the falling factorial is k! * C(x, k)
-    for d in (1, 2, 3):
-        for k in range(9):
-            value = reduce_pure_tilde(k, d)
-            for x in range(0, 15):
-                at_x = sum(c * x ** i for i, c in enumerate(value))
-                assert at_x == (-1) ** (d * k) * factorial(k) * comb(x, k)
-

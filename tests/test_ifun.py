@@ -13,32 +13,6 @@ def test_nonpolar_examples():
     assert nonpolar_ifunction(3, [2]).is_zero()
 
 
-def test_nonpolar_exponent_law():
-    for n, ks in [(1, []), (2, [2]), (2, [4]), (3, [4]), (2, [2, 3]), (3, [3, 3])]:
-        m = nonpolar_ifunction(n, ks)
-        if not m.is_zero():
-            assert m.exp == sum(ks) - 2 * n + 2
-
-
-def test_vanishing_threshold_small():
-    for n in range(1, 5):
-        for total in range(0, 9):
-            for ks in _partitions_of(total):
-                m = nonpolar_ifunction(n, ks)
-                expect_zero = total < 2 * n - 2 or hilb_integral(n, ks).is_zero()
-                assert m.is_zero() == expect_zero, (n, ks)
-
-
-def _partitions_of(total, cap=None):
-    if total == 0:
-        yield ()
-        return
-    cap = total if cap is None else cap
-    for p in range(min(cap, total), 0, -1):
-        for rest in _partitions_of(total - p, p):
-            yield (p,) + rest
-
-
 # ch_series restricts each seed C * u^a to the fixed strata; with a small
 # q-order one seed's restrictions can be read off one coefficient at a time
 

@@ -1,13 +1,15 @@
 """Package-level guards: the public export list, the frozen closed forms of
 the ch_k series, and the verify checks that must compare their series at the
-order they ask for and see a wrong base, a wrong coefficient or a repeated
-term."""
+order they ask for, see a wrong base, a wrong coefficient or a repeated
+term, and see one wrong value at the top of their ranges."""
 
 import hashlib
 
+import pytest
+
 import hilbwall
 from hilbwall import verify, wallx
-from hilbwall.exact import euler_inverse_series, macmahon_series
+from hilbwall.exact import Monomial, euler_inverse_series, macmahon_series
 from hilbwall.wallx import (ch_series, euler_series_closed, euler_series_wc,
                             expand_full_crossing, expand_wall_terms)
 
@@ -90,6 +92,37 @@ def test_combinatorics_check_fails_on_a_repeated_term(monkeypatch):
     passed, detail = verify.check_combinatorics()
     assert not passed
     assert detail == "wall terms differ at n=4, m=2, n0=1"
+
+
+# (check, the name it reads, the one call made wrong, how, the failure):
+# a check that stopped short of the top of its range would still pass
+TOP_OF_RANGE_FAULTS = [
+    (verify.check_normalization, "hilb_integral", (25,), lambda v: v + v,
+     "empty bracket mismatch at n=25"),
+    (verify.check_ch1_vanishing, "hilb_integral", (25, [1]), lambda v: Monomial(1, -49),
+     "<ch_1>_25 is nonzero"),
+    (verify.check_closed_forms, "hilb_integral", (25, [3]), lambda v: v + v,
+     "<ch_3>_25 mismatch"),
+    (verify.check_dilaton_closure, "reduce_pure_tilde", (8, 3), lambda v: [v[0] + 1] + v[1:],
+     "dilaton closure fails at k=8, d=3, c_d=0"),
+    (verify.check_property_suites, "hilb_integral", (6, (8, 8, 8)),
+     lambda v: Monomial(v.coeff, v.exp + 1), "degree violation at n=6, ks=(8, 8, 8)"),
+    (verify.check_ifunction_threshold, "nonpolar_ifunction", (6, (4, 4)),
+     lambda v: Monomial(1, -2, "u"), "threshold fails at n=6, ks=(4, 4)"),
+]
+
+
+@pytest.mark.parametrize("check, name, at, fault, detail", TOP_OF_RANGE_FAULTS,
+                         ids=[row[0].__name__ for row in TOP_OF_RANGE_FAULTS])
+def test_check_fails_on_one_wrong_value_at_the_top_of_its_range(
+        monkeypatch, check, name, at, fault, detail):
+    right = getattr(verify, name)
+
+    def planted(*args):
+        value = right(*args)
+        return fault(value) if args == at else value
+    monkeypatch.setattr(verify, name, planted)
+    assert check() == (False, detail)
 
 
 def test_ch_series_check_compares_k2_to_q10(monkeypatch):

@@ -65,15 +65,6 @@ def test_wall_spec_validation():
         expand_wall_terms(2, 0, 0)
 
 
-def test_full_crossing_compositions():
-    terms = expand_full_crossing(3, 0)
-    sizes = [tuple(size for size, _ in t) for t in terms]
-    assert sorted(sizes) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
-    assert len(expand_full_crossing(5, 0)) == 16
-    for n in range(1, 11):
-        assert len(expand_full_crossing(n, 0)) == 2 ** (n - 1)
-
-
 def test_full_crossing_with_insertion():
     terms = expand_full_crossing(2, 1)
     assert len(terms) == 3
