@@ -9,8 +9,7 @@ the conventions in force.
 
 __version__ = "0.1.0"
 
-from .exact import (ExactError, Monomial, euler_inverse_series, macmahon_series,
-                    qs_pow_int)
+from .exact import ExactError, Monomial
 from .fmcalc import reduce_pure_tilde, tn_integral
 from .hilb import (FixedPointData, LocalizationError, ch_value,
                    enumerate_partitions, fixed_point_data, hilb_integral,
@@ -22,8 +21,6 @@ from .wallx import (ch_series, euler_series_closed, euler_series_wc,
 __all__ = [
     "__version__",
     "ExactError", "Monomial",
-    "euler_inverse_series", "macmahon_series",
-    "qs_pow_int",
     "reduce_pure_tilde", "tn_integral",
     "FixedPointData", "LocalizationError", "ch_value",
     "enumerate_partitions", "fixed_point_data", "hilb_integral",

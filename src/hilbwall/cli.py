@@ -158,7 +158,13 @@ def _cmd_dt_check(args):
 
 
 def _cmd_verify(args):
-    results = [(name, *check()) for name, check in ALL_CHECKS]
+    results = []
+    for name, check in ALL_CHECKS:
+        try:
+            passed, detail = check()
+        except Exception as exc:  # a raising check fails; the others still run
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append((name, passed, detail))
     all_passed = all(passed for _, passed, _ in results)
     result = {"passed": all_passed,
               "checks": [{"name": name, "passed": passed, "detail": detail}

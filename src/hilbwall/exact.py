@@ -1,18 +1,9 @@
-"""Exact arithmetic kernels: rationals, monomials, and truncated power
-series in q.
+"""Exact arithmetic kernels: rationals and monomials.
 
 Everything in this module is exact.  Rationals are ``fractions.Fraction``.
 Every t- or u-valued result of the package is a single term
 ``C * t^e`` (a bracket, a series coefficient) or ``C * u^e`` (a one-end
-contribution, u = t + z), so the one value type is :class:`Monomial`.  A
-power series in q is a plain list: the q^n coefficient sits at index n,
-the series is known through order ``len - 1``, and two series are equal
-only when their lists are, so a truncated series never equals a longer
-one.  Partition and plane-partition counts are int lists, each computed by
-an integer recurrence; the one series routine, :func:`qs_pow_int`, raises
-an integer series with constant term 1 to an integer power by a one-pass
-coefficient recurrence whose divisions are exact, so it returns an int
-list, with no series products.
+contribution, u = t + z), so the one value type is :class:`Monomial`.
 
 A monomial renders as ``0``, as the plain coefficient at exponent 0, as
 ``C*t`` at exponent 1 and as ``C*t^e`` otherwise, with rationals printed
@@ -81,59 +72,3 @@ class Monomial:
             return f"{self.coeff}*{self.var}"
         return f"{self.coeff}*{self.var}^{self.exp}"
 
-
-def qs_pow_int(s: list[int], c: int) -> list[int]:
-    """Integer power c, negative ones included, of an integer series with
-    constant term 1, by J.C.P. Miller's recurrence f_0 = 1,
-    n*f_n = sum_{j=1..n} ((c+1)j - n) s_j f_{n-j}.  The coefficients of the
-    power are integers, so each division by n is exact; any other constant
-    term, or a nonzero remainder (a non-integer coefficient), raises
-    ExactError."""
-    if not isinstance(c, int):
-        raise ExactError("series power must be an integer")
-    if s[:1] != [1]:
-        raise ExactError("qs_pow_int requires the constant term 1")
-    out = [1]
-    for n in range(1, len(s)):
-        acc = sum(((c + 1) * j - n) * s[j] * out[n - j] for j in range(1, n + 1))
-        f, rem = divmod(acc, n)
-        if rem:
-            raise ExactError("qs_pow_int requires an integer series")
-        out.append(f)
-    return out
-
-
-def euler_inverse_series(order: int) -> list[int]:
-    """The Euler product inverse prod_{m>=1} (1 - q^m)^(-1).
-
-    The q^n coefficient is the number of partitions of n; computed by the
-    standard coin-style recurrence.
-    """
-    if order < 0:
-        raise ExactError("order must be nonnegative")
-    counts = [0] * (order + 1)
-    counts[0] = 1
-    for m in range(1, order + 1):
-        for i in range(m, order + 1):
-            counts[i] += counts[i - m]
-    return counts
-
-
-def macmahon_series(order: int) -> list[int]:
-    """The MacMahon function M(q) = prod_{m>=1} (1 - q^m)^(-m).
-
-    The q^n coefficient counts plane partitions of n.  Since
-    q M'/M = sum_k sigma_2(k) q^k, with sigma_2(k) the sum of the squared
-    divisors of k, the counts obey n M_n = sum_{k=1..n} sigma_2(k) M_(n-k),
-    an exact integer division.
-    """
-    if order < 0:
-        raise ExactError("order must be nonnegative")
-    sigma2 = [0] * (order + 1)
-    for d in range(1, order + 1):
-        for m in range(d, order + 1, d):
-            sigma2[m] += d * d
-    counts = [1]
-    for n in range(1, order + 1):
-        counts.append(sum(sigma2[k] * counts[n - k] for k in range(1, n + 1)) // n)
-    return counts

@@ -19,8 +19,7 @@ from typing import Callable
 
 from .exact import Monomial
 from .fmcalc import reduce_pure_tilde, tn_integral
-from .hilb import (LocalizationError, conjugate, enumerate_partitions,
-                   fixed_point_data, hilb_integral)
+from .hilb import conjugate, enumerate_partitions, fixed_point_data, hilb_integral
 from .ifun import nonpolar_ifunction
 from .wallx import (ch_series, euler_series_closed, euler_series_wc,
                     expand_full_crossing, expand_wall_terms)
@@ -83,9 +82,9 @@ def check_closed_forms() -> tuple[bool, str]:
 
 def check_ch_series_golden() -> tuple[bool, str]:
     for k in range(2, 7):
-        got = ch_series(k, 10)
-        want = golden_ch_series(k, 10)
-        for n in range(11):
+        got = ch_series(k, 200)
+        want = golden_ch_series(k, 200)
+        for n in range(201):
             if got[n] != want[n]:
                 return False, f"ch_{k} series differs at q^{n}"
     for k in range(7):
@@ -93,7 +92,7 @@ def check_ch_series_golden() -> tuple[bool, str]:
         for n in range(1, 9):
             if got[n] != hilb_integral(n, [k]):
                 return False, f"ch_{k} series disagrees with localization at q^{n}"
-    return True, "ch_2..ch_6 series match closed forms to q^10; k <= 6 matches localization to q^8"
+    return True, "ch_2..ch_6 series match closed forms to q^200; k <= 6 matches localization to q^8"
 
 
 def _euler_identity(d: int, detail: str, base: list[int]) -> tuple[bool, str]:
@@ -173,7 +172,7 @@ def check_dilaton_closure() -> tuple[bool, str]:
             value = reduce_pure_tilde(k, d)
             sign = (-1) ** (d * k)
             for x in range(0, 20):
-                want = Fraction(sign * factorial(k) * comb(x, k))
+                want = sign * factorial(k) * comb(x, k)
                 if sum(c * x ** i for i, c in enumerate(value)) != want:
                     return False, f"dilaton closure fails at k={k}, d={d}, c_d={x}"
     return True, "k tilde insertions reduce to (-1)^(dk) k! C(c_d, k) for k <= 8"
@@ -204,10 +203,7 @@ def check_property_suites() -> tuple[bool, str]:
     grid = [ks for size in range(4) for ks in combinations_with_replacement(range(9), size)]
     for ks in grid:
         for n in range(1, 7):
-            try:
-                value = hilb_integral(n, ks)
-            except LocalizationError:
-                return False, f"residual eps pole at n={n}, ks={ks}"
+            value = hilb_integral(n, ks)
             if not value.is_zero():
                 if value.exp != sum(ks) - 2 * n:
                     return False, f"degree violation at n={n}, ks={ks}"

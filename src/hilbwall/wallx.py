@@ -30,8 +30,13 @@ Three layers:
   three the wall-crossing collapses to 1 + sum_k C(c_d, k) (F(q) - 1)^k,
   with F = 1/(1-q), the partition-counting Euler product, or the signed
   MacMahon function M(-q), the degree-zero Donaldson-Thomas series of
-  C^3.  It matches the closed forms (1/(1-q))^c (Macdonald), f(q)^c
-  (Goettsche) and M(-q)^c.
+  C^3.  Each is one product F = prod_m (1 - (+-q)^m)^(-e(m)), so its
+  closed power F^c, Macdonald's (1/(1-q))^c, Goettsche's f(q)^c or
+  M(-q)^c, follows from the log-derivative of F by one integer
+  recurrence.  The wall-crossing sum reads that product only at c = 1.
+
+A q-series is a plain list with the q^n coefficient at index n, so a
+truncated series never equals a longer one.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from itertools import product
 from math import factorial
 from typing import Iterator
 
-from .exact import ExactError, Monomial, qs_pow_int, euler_inverse_series, macmahon_series
+from .exact import ExactError, Monomial
 from .fmcalc import tn_integral
 from .ifun import nonpolar_ifunction
 
@@ -119,26 +124,31 @@ def ch_series(k: int, q_order: int) -> list[Monomial]:
     return coeffs
 
 
-def _base_series(d: int, q_order: int) -> list[int]:
-    if d == 1:
-        return [1] * (q_order + 1)  # 1/(1-q)
-    if d == 2:
-        return euler_inverse_series(q_order)
-    if d == 3:  # M(-q)
-        return [(-1) ** n * m for n, m in enumerate(macmahon_series(q_order))]
-    raise ValueError("d must be 1, 2 or 3")
+def _log_derivative(d: int, q_order: int) -> list[int]:
+    """The coefficients s_k of q F'/F = sum_{k>=1} s_k q^k, at index k <= q_order,
+    for the dimension-d base F = prod_m (1 - (+-q)^m)^(-e(m)): e(m) is [m = 1],
+    1 or m, so s_k = sum_{m | k} m e(m) is 1, sigma_1(k) or, by q -> -q,
+    (-1)^k sigma_2(k)."""
+    if d not in (1, 2, 3):
+        raise ValueError("d must be 1, 2 or 3")
+    s = [0] * (q_order + 1)
+    for m in range(1, (1 if d == 1 else q_order) + 1):
+        for k in range(m, q_order + 1, m):
+            s[k] += m ** (d - 1)
+    return [(-1) ** k * x for k, x in enumerate(s)] if d == 3 else s
 
 
 def euler_series_wc(d: int, c: int, q_order: int) -> list[int]:
     """Euler-characteristic series by wall-crossing:
     1 + sum_{k>=1} C(c, k) (F(q) - 1)^k with F the d-dependent base, summed
-    in integers; qs_pow_int never runs, so the closed form is checked by an
-    independent path.  A non-integer c raises the closed form's ExactError."""
+    in integers.  F is the closed form at c = 1, the only power read, so the
+    closed form at any other c is checked by an independent path.  A
+    non-integer c raises the closed form's ExactError."""
     if not isinstance(c, int):
         raise ExactError("series power must be an integer")
     if q_order < 0:
         raise ValueError("q_order must be nonnegative")
-    g = [0] + _base_series(d, q_order)[1:]  # F - 1
+    g = [0] + euler_series_closed(d, 1, q_order)[1:]  # F - 1
     total = [1] + [0] * q_order
     power = list(total)  # g^(k-1), which starts at q^(k-1)
     binom = 1
@@ -154,9 +164,19 @@ def euler_series_wc(d: int, c: int, q_order: int) -> list[int]:
 
 
 def euler_series_closed(d: int, c: int, q_order: int) -> list[int]:
-    """Closed form of the Euler-characteristic series: the d-dependent base
-    series, an integer series with constant term 1, raised to the integer
-    power c by qs_pow_int, in integers."""
+    """Closed form F^c of the Euler-characteristic series, in integers: its
+    log-derivative is c times that of F, so n a_n = c sum_{k=1..n} s_k a_(n-k)
+    with a_0 = 1.  The coefficients are integers, so each division by n is
+    exact; a nonzero remainder raises ExactError."""
+    if not isinstance(c, int):
+        raise ExactError("series power must be an integer")
     if q_order < 0:
         raise ValueError("q_order must be nonnegative")
-    return qs_pow_int(_base_series(d, q_order), c)
+    s = _log_derivative(d, q_order)
+    out = [1]
+    for n in range(1, q_order + 1):
+        a, rem = divmod(c * sum(s[k] * out[n - k] for k in range(1, n + 1)), n)
+        if rem:
+            raise ExactError(f"the closed form has a non-integer coefficient at q^{n}")
+        out.append(a)
+    return out

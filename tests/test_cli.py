@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hilbwall import verify
 from hilbwall.cli import run
 from hilbwall.exact import ExactError, Monomial
 from hilbwall.hilb import LocalizationError, hilb_integral
@@ -180,6 +181,24 @@ def test_verify_cli_wiring_fail(monkeypatch, capsys):
     assert "FAIL" in out and "SOME CHECKS FAILED" in out
 
 
+def test_verify_reports_every_check_when_one_raises(monkeypatch, capsys):
+    from hilbwall import cli as climod
+
+    def raising():
+        raise LocalizationError("residual eps pole")
+    checks = list(verify.ALL_CHECKS)
+    index = [check for _, check in checks].index(verify.check_property_suites)
+    name = checks[index][0]
+    checks[index] = (name, raising)
+    monkeypatch.setattr(climod, "ALL_CHECKS", checks)
+    code, out, err = invoke(capsys, "verify")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == len(checks) + 1 and lines[-1] == "SOME CHECKS FAILED"
+    assert [line for line in lines if "FAIL " in line] == [
+        f"[{index + 1:2d}/{len(checks)}] FAIL  {name}: LocalizationError: residual eps pole"]
+
+
 def test_verify_cli_json_shape(monkeypatch, capsys):
     from hilbwall import cli as climod
     monkeypatch.setattr(climod, "ALL_CHECKS", [("alpha", lambda: (True, "fine"))])
@@ -323,7 +342,7 @@ BYTE_STABLE = [
     ('euler --d 3 --c 1 --order 4', 'json', 2, 'error: --d must be 1 or 2\n',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('verify', 'table', 0, '',
-     'a2d7eaa1b6b7e162c7e5889b210c8b3341ea80409ed428449636e067953cfdf7'),
+     '699e71c4f51b4e16adf8f2344e11187e92dbaa263b37dc6fcfdb4a644a1b10cd'),
     # one row per rendering branch of a monomial: zero, exponent 0,
     # exponent 1, and the zero u-monomial of a vanishing or polar bracket
     ('hilb-integral --n 5 --ch 1', 'table', 0, '',

@@ -2,10 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from hilbwall.exact import (ExactError, Monomial, euler_inverse_series,
-                            macmahon_series, qs_pow_int)
+from hilbwall import wallx
+from hilbwall.exact import ExactError, Monomial
 from hilbwall.verify import _plane_partition_counts
-from hilbwall.wallx import euler_series_wc
+from hilbwall.wallx import euler_series_closed, euler_series_wc
 
 
 # --- monomials ------------------------------------------------------------------
@@ -51,21 +51,18 @@ def truncated_product(a, b):
             for n in range(min(len(a), len(b)))]
 
 
-def test_qs_pow_int_negative():
-    assert qs_pow_int([1, -1, 0, 0, 0], -2) == [1, 2, 3, 4, 5]
+def test_closed_form_division_is_exact(monkeypatch):
+    # s_4 + 1 is no integer series' log-derivative: the q^4 coefficient
+    # would be 21/4
+    log_derivative = wallx._log_derivative
 
-
-def test_qs_preconditions():
-    for c in (0, 2, -1):
-        with pytest.raises(ExactError):
-            qs_pow_int([0, 1, 0, 0], c)
-    # only an integer series with constant term 1: no coefficient is floored
+    def off_at_q4(d, order):
+        s = log_derivative(d, order)
+        s[4] += 1
+        return s
+    monkeypatch.setattr(wallx, "_log_derivative", off_at_q4)
     with pytest.raises(ExactError):
-        qs_pow_int([2, 1, 0], 3)
-    with pytest.raises(ExactError):
-        qs_pow_int([], 2)  # no constant term at all
-    with pytest.raises(ExactError):
-        qs_pow_int([1, F(1, 3), 0], 2)
+        euler_series_closed(2, 1, 8)
 
 
 # --- partition and plane-partition counting oracles --------------------------
@@ -78,27 +75,22 @@ def count_partitions(n, cap=None):
     return sum(count_partitions(n - p, p) for p in range(min(cap, n), 0, -1))
 
 
-def test_euler_inverse_series_counts_partitions():
-    s = euler_inverse_series(8)
+def test_partition_product_counts_partitions():
+    s = euler_series_closed(2, 1, 8)
     assert s[:5] == [1, 1, 2, 3, 5] and len(s) == 9
     assert s[8] == count_partitions(8)
     assert count_partitions(8) == 22
 
 
-def test_macmahon_series_counts_plane_partitions():
-    s = macmahon_series(5)
-    assert s[:4] == [1, 1, 3, 6]
-    # against the brute-force recount of verify's MacMahon check
-    assert s == _plane_partition_counts(5)
-
-
 def test_macmahon_times_inverse_factors_is_one():
+    # M(q) times prod_m (1 - q^m)^m, each factor a repeated product
     order = 30
-    product = macmahon_series(order)
+    product = [(-1) ** n * m for n, m in enumerate(euler_series_closed(3, 1, order))]
     for m in range(1, order + 1):
         factor = [1] + [0] * order
         factor[m] = -1
-        product = truncated_product(product, qs_pow_int(factor, m))
+        for _ in range(m):
+            product = truncated_product(product, factor)
     assert product == [1] + [0] * order
 
 

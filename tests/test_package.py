@@ -9,7 +9,7 @@ import pytest
 
 import hilbwall
 from hilbwall import verify, wallx
-from hilbwall.exact import Monomial, euler_inverse_series, macmahon_series
+from hilbwall.exact import Monomial
 from hilbwall.wallx import (ch_series, euler_series_closed, euler_series_wc,
                             expand_full_crossing, expand_wall_terms)
 
@@ -33,44 +33,22 @@ def test_euler_checks_fail_on_truncated_series(monkeypatch):
         assert detail == f"dimension-{d} series at c=-6 known to q^10 and q^10, not q^20"
 
 
-def test_macdonald_check_fails_on_a_wrong_base(monkeypatch):
-    # both sides read the mutated base, so only the one-row diagram count sees it
-    base_series = wallx._base_series
+@pytest.mark.parametrize("check, d", [(verify.check_macdonald, 1),
+                                      (verify.check_gottsche, 2),
+                                      (verify.check_dt_identity, 3)],
+                         ids=["check_macdonald", "check_gottsche", "check_dt_identity"])
+def test_euler_check_fails_on_a_wrong_base(monkeypatch, check, d):
+    # an extra factor 1/(1 - q^4) in the product both sides read, so only the
+    # independent fixed-point count sees it
+    log_derivative = wallx._log_derivative
 
-    def wrong_base(d, order):
-        counts = base_series(d, order)
-        if d == 1:
-            counts[4] += 1
-        return counts
-    monkeypatch.setattr(wallx, "_base_series", wrong_base)
-    passed, detail = verify.check_macdonald()
-    assert not passed
-    assert detail == "dimension-1 base series differs from the independent count"
-
-
-def test_gottsche_check_fails_on_a_wrong_base(monkeypatch):
-    # both sides read the mutated base, so only the fixed-point count sees it
-    def wrong_partition_counts(order):
-        counts = euler_inverse_series(order)
-        counts[5] += 1
-        return counts
-    monkeypatch.setattr(wallx, "euler_inverse_series", wrong_partition_counts)
-    passed, detail = verify.check_gottsche()
-    assert not passed
-    assert detail == "dimension-2 base series differs from the independent count"
-
-
-def test_dt_check_fails_on_a_wrong_base(monkeypatch):
-    # both sides read the mutated MacMahon counts, so only the plane-partition
-    # count sees them
-    def wrong_plane_partition_counts(order):
-        counts = macmahon_series(order)
-        counts[4] += 1
-        return counts
-    monkeypatch.setattr(wallx, "macmahon_series", wrong_plane_partition_counts)
-    passed, detail = verify.check_dt_identity()
-    assert not passed
-    assert detail == "dimension-3 base series differs from the independent count"
+    def extra_factor(d, order):
+        s = log_derivative(d, order)
+        for k in range(4, order + 1, 4):
+            s[k] += 4
+        return s
+    monkeypatch.setattr(wallx, "_log_derivative", extra_factor)
+    assert check() == (False, f"dimension-{d} base series differs from the independent count")
 
 
 def test_combinatorics_check_fails_on_a_repeated_term(monkeypatch):
@@ -105,6 +83,8 @@ TOP_OF_RANGE_FAULTS = [
      "<ch_3>_25 mismatch"),
     (verify.check_dilaton_closure, "reduce_pure_tilde", (8, 3), lambda v: [v[0] + 1] + v[1:],
      "dilaton closure fails at k=8, d=3, c_d=0"),
+    (verify.check_tn_calculus, "tn_integral", (10, 16, 1), lambda v: v + 1,
+     "square-removal recursion fails at (10,16,1)"),
     (verify.check_property_suites, "hilb_integral", (6, (8, 8, 8)),
      lambda v: Monomial(v.coeff, v.exp + 1), "degree violation at n=6, ks=(8, 8, 8)"),
     (verify.check_ifunction_threshold, "nonpolar_ifunction", (6, (4, 4)),
@@ -125,17 +105,17 @@ def test_check_fails_on_one_wrong_value_at_the_top_of_its_range(
     assert check() == (False, detail)
 
 
-def test_ch_series_check_compares_k2_to_q10(monkeypatch):
-    # localization covers k = 2 only to q^8, so the closed form must see q^10
-    def wrong_at_q10(k, order):
+def test_ch_series_check_compares_k2_to_q200(monkeypatch):
+    # localization covers k = 2 only to q^8, so the closed form must see q^200
+    def wrong_at_q200(k, order):
         series = ch_series(k, order)
-        if k == 2 and order >= 10:
-            series[10] = series[10] + series[10]
+        if k == 2 and order >= 200:
+            series[200] = series[200] + series[200]
         return series
-    monkeypatch.setattr(verify, "ch_series", wrong_at_q10)
+    monkeypatch.setattr(verify, "ch_series", wrong_at_q200)
     passed, detail = verify.check_ch_series_golden()
     assert not passed
-    assert detail == "ch_2 series differs at q^10"
+    assert detail == "ch_2 series differs at q^200"
 
 
 def test_golden_ch_series_reproduces_the_closed_forms():

