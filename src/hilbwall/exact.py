@@ -13,7 +13,7 @@ output is byte stable and usable in golden tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -21,8 +21,7 @@ class ExactError(ValueError):
     """Domain error in the exact-arithmetic layer."""
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(namedtuple("Monomial", "coeff exp var")):
     """The single term coeff * var^exp, with an exact coefficient.
 
     A zero coefficient forces exp = 0, so zeros of any degree compare
@@ -32,19 +31,14 @@ class Monomial:
     int-string conversion limit; ``cli.run`` lifts that limit.
     """
 
-    coeff: Fraction
-    exp: int
-    var: str = "t"
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeff = self.coeff
+    def __new__(cls, coeff: Fraction, exp: int, var: str = "t"):
         if isinstance(coeff, int):
             coeff = Fraction(coeff)
         elif not isinstance(coeff, Fraction):
             raise ExactError(f"not an exact scalar: {coeff!r}")
-        object.__setattr__(self, "coeff", coeff)
-        if coeff == 0:
-            object.__setattr__(self, "exp", 0)
+        return super().__new__(cls, coeff, exp if coeff else 0, var)
 
     def is_zero(self) -> bool:
         return self.coeff == 0

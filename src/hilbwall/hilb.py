@@ -38,12 +38,14 @@ per transpose pair, for the partition with parts >= its conjugate: its
 inverse and weight * common // local, weight 2 for a pair and 1 for a
 self-conjugate partition.  common, the lcm of all the scales, is the one
 denominator of the table; the ch table of (n, k) keeps the k! ch_k lists
-aligned with its rows.  A bracket zips the tables, multiplies each row
-into its contribution to eps^-P .. eps^0, and sums the even powers as
-integers over common; the full sum has no odd powers, and the only
-Fraction is built at the end.  The sum is regular at eps = 0; a surviving
-negative power signals a convention bug and raises
-:class:`LocalizationError`.
+aligned with its rows.  A bracket zips the tables, multiplies only the ch
+lists of each row, and reads each even power of eps of the row's term,
+inv times that product, as one dot product; the full sum has no odd
+powers.  It sums these as integers over common, and the only Fraction is
+built at the end.  The sum is regular at eps = 0; a surviving negative
+power signals a convention bug and raises :class:`LocalizationError`.
+ch_0 is the rank n, a factor :func:`hilb_integral` takes out before the
+memo.
 
 The only caches are these tables, one per n and one per (n, k), kept for
 the life of the process, and the last BRACKET_CACHE_SIZE brackets; weight
@@ -60,11 +62,11 @@ with the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from operator import index
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from .exact import ExactError, Monomial
@@ -136,12 +138,8 @@ def taut_weights(lam: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(c, r) for r, p in enumerate(lam) for c in range(p)]
 
 
-@dataclass(frozen=True)
-class FixedPointData:
-    """Weight data of one torus-fixed point."""
-
-    tangent: tuple[tuple[int, int], ...]
-    taut: tuple[tuple[int, int], ...]
+# Weight data of one torus-fixed point: its tangent and taut weight tuples.
+FixedPointData = namedtuple("FixedPointData", "tangent taut")
 
 
 def fixed_point_data(lam: tuple[int, ...]) -> FixedPointData:
@@ -224,8 +222,9 @@ def _fixed_points(n: int) -> tuple[tuple[tuple, ...], int, int]:
 @lru_cache(maxsize=None)
 def _ch_eps(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """k! * ch_k at t = 1 for each row of :func:`_fixed_points`, aligned
-    with it: the box sum of (-(c+r) + (c-r)*eps)^k through eps^P, a
-    factor that brackets multiply into the row's inverse Euler class."""
+    with it: the box sum of (-(c+r) + (c-r)*eps)^k through eps^P.  A
+    bracket multiplies these and dots the product with the row's inverse
+    Euler class; ch_0, the rank n, needs no table."""
     out = []
     for parts, inv, _ in _fixed_points(n)[0]:
         ch = [0] * len(inv)
@@ -238,8 +237,8 @@ def _ch_eps(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _mul_trunc(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two eps power series, truncated to the length of ``a``."""
-    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
+    """Product of two eps power series, truncated to len(a) <= len(b)."""
+    return [sum(map(mul, a[:j + 1], b[j::-1])) for j in range(len(a))]
 
 
 BRACKET_CACHE_SIZE = 256
@@ -258,7 +257,10 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
     n = index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _bracket(n, normalize_insertions(ks))
+    ks = normalize_insertions(ks)
+    zeros = ks.count(0)  # ch_0 is the rank n at every fixed point
+    value = _bracket(n, ks[zeros:])
+    return Monomial(value.coeff * n ** zeros, value.exp) if zeros else value
 
 
 @lru_cache(maxsize=BRACKET_CACHE_SIZE)
@@ -266,13 +268,15 @@ def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
     rows, common, width = _fixed_points(n)
     # totals[m] / common is the coefficient of eps^-2m
     totals = [0] * width
-    for (_, s, factor), *chs in zip(rows, *(_ch_eps(n, k) for k in ks)):
-        for ch in chs:
-            s = _mul_trunc(s, ch)
-        # the fixed point adds s_j / local to eps^(j-P), and with its
-        # transpose only the even powers, so s[-1 - 2m] goes to totals[m]
-        for m, sj in enumerate(s[::-2]):
-            totals[m] += sj * factor
+    for (_, inv, factor), *chs in zip(rows, *(_ch_eps(n, k) for k in ks)):
+        c = chs[0] if chs else (1,)
+        for ch in chs[1:]:
+            c = _mul_trunc(c, ch)
+        # the fixed point adds (inv * c)_j / local to eps^(j-P), and with
+        # its transpose only the even powers, so (inv * c)_(P-2m) goes to
+        # totals[m]
+        for m, j in enumerate(range(len(inv) - 1, -1, -2)):
+            totals[m] += factor * sum(map(mul, c[:j + 1], inv[j::-1]))
     if any(totals[1:]):
         raise LocalizationError("localization sum not regular on diagonal")
     scale = 1

@@ -129,7 +129,11 @@ def test_agrees_with_rational_limit_oracle():
 
 def test_limit_oracle_on_every_small_bracket():
     brackets = [(n, ks) for n in range(1, 5) for ks in _sum_bounded_partitions(6)]
-    assert len(brackets) == 120
+    # ch_0 pads, which the kernel reads as the rank n and the oracle sums
+    # as ch_value(lam, 0) at every fixed point
+    brackets += [(n, ks + (0,) * pads) for n in range(1, 5)
+                 for ks in _sum_bounded_partitions(4) for pads in (1, 2)]
+    assert len(brackets) == 120 + 96
     for n, ks in brackets:
         assert hilb_integral(n, ks) == hilb_integral_via_limit(n, ks), (n, ks)
 
@@ -225,6 +229,13 @@ def test_cold_bracket_caches_only_eps_lists(hilb_caches):
     assert sum(cache.cache_info().currsize for cache in hilb_caches) == 1 + 2 + 1
     # a second bracket at n = 8 adds no table: the partitions are enumerated once
     hilb_integral(8, [2])
+    assert sum(cache.cache_info().currsize for cache in hilb_caches) == 1 + 2 + 2
+    # ch_0 is the rank: a padded bracket shares the memo entry of its
+    # unpadded bracket and builds no ch_0 table
+    misses = hilb._bracket.cache_info().misses
+    unpadded = hilb_integral(8, [2, 3])
+    assert hilb_integral(8, [0, 2, 3]) == Monomial(unpadded.coeff * 8, unpadded.exp)
+    assert hilb._bracket.cache_info().misses == misses
     assert sum(cache.cache_info().currsize for cache in hilb_caches) == 1 + 2 + 2
     lam = (3, 1)
     data = fixed_point_data(lam)

@@ -1,9 +1,14 @@
-"""Package-level guards: the public export list, the frozen closed forms of
-the ch_k series, and the verify checks that must compare their series at the
-order they ask for, see a wrong base, a wrong coefficient or a repeated
-term, and see one wrong value at the top of their ranges."""
+"""Package-level guards: the public export list, the modules a cold CLI
+import leaves out, the frozen closed forms of the ch_k series, and the
+verify checks that must compare their series at the order they ask for,
+see a wrong base, a wrong coefficient or a repeated term, and see one
+wrong value at the top of their ranges."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,16 @@ def test_all_exports_resolve_once():
     assert len(hilbwall.__all__) == len(set(hilbwall.__all__))
     for name in hilbwall.__all__:
         assert hasattr(hilbwall, name), name
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # a cold CLI process pays for every module it imports; -S keeps site's
+    # own imports out of the list
+    code = "import sys, hilbwall.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_euler_checks_fail_on_truncated_series(monkeypatch):
