@@ -38,20 +38,38 @@ per transpose pair, for the partition with parts >= its conjugate: its
 inverse and weight * common // local, weight 2 for a pair and 1 for a
 self-conjugate partition.  common, the lcm of all the scales, is the one
 denominator of the table; the ch table of (n, k) keeps the k! ch_k lists
-aligned with its rows.  A bracket zips the tables, multiplies only the ch
-lists of each row, and reads each even power of eps of the row's term,
-inv times that product, as one dot product; the full sum has no odd
-powers.  It sums these as integers over common, and the only Fraction is
-built at the end.  The sum is regular at eps = 0; a surviving negative
-power signals a convention bug and raises :class:`LocalizationError`.
-ch_0 is the rank n, a factor :func:`hilb_integral` takes out before the
-memo.
+aligned with its rows, each through eps^min(k, P).  A bracket needs the
+even powers of eps of the sum of the rows' terms, factor * inv times the
+product of the row's ch lists; the full sum has no odd powers.  It sums
+them as integers over common, and the only Fraction is built at the end.
+It takes one of two paths:
 
-The only caches are these tables, one per n and one per (n, k), kept for
-the life of the process, and the last BRACKET_CACHE_SIZE brackets; weight
-data is recomputed when asked for.  A table has (p(n) + sc(n)) / 2 rows,
-sc(n) the self-conjugate partitions; a cold ch_2 bracket at n = 40 keeps
-37 MB of tables and peaks at 59 MB resident (CPython 3.11).
+* packed, when the table is small: every eps-list is evaluated at
+  eps = X = 2^bits (Kronecker substitution) and kept mod X^width, width
+  the longest inv, with each row shifted so that its eps^P sits at digit
+  width - 1.  A row's term is then a few big-integer products and the
+  sum over rows one ``sum``; the even powers are the signed digits at
+  width - 1, width - 3, ...  The base is a proven bound: no coefficient
+  of the untruncated sum exceeds sum_r |factor_r| * ||inv_r||_1 times
+  the largest ||ch||_1 of each insertion, and 2^(bits - 1) exceeds that.
+  The path runs when bits * width <= PACKED_MAX_BITS, the crossover
+  measured against the list path;
+* lists, otherwise: each row multiplies its ch lists through eps^P and
+  reads each even power of inv times that product as one dot product.
+  At large n, factor * inv fills every digit, so packing would cost more.
+
+The sum is regular at eps = 0; a surviving negative power signals a
+convention bug and raises :class:`LocalizationError`.  ch_0 is the rank
+n, a factor :func:`hilb_integral` takes out before the memo.
+
+The only caches are these tables, one per n and one per (n, k), their
+norms, the packed rows per (n, bits) and packed ch lists per (n, k,
+bits), all kept for the life of the process, and the last
+BRACKET_CACHE_SIZE brackets; weight data is recomputed when asked for.
+bits is a multiple of 64, so few packed tables exist.  A table has (p(n)
++ sc(n)) / 2 rows, sc(n) the self-conjugate partitions; a cold ch_2
+bracket at n = 40 runs the lists and peaks at 57 MB resident (CPython
+3.11).
 
 The rational-limit cross-check :func:`hilb_integral_via_limit` works on the
 full torus instead and reaches the diagonal along a line of its own.  It
@@ -66,7 +84,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from operator import index, mul
+from itertools import repeat
+from operator import and_, index, mul
 from typing import Iterable, Sequence
 
 from .exact import ExactError, Monomial
@@ -209,39 +228,87 @@ def _fixed_points(n: int) -> tuple[tuple[tuple, ...], int, int]:
     slower, and a bound on the count of n bounds no bytes, since a cold
     ch_2 bracket keeps 0.07 MB of tables at n = 16 and 37 MB at n = 40.
     """
-    rows = []
-    for parts in enumerate_partitions(n):
-        conj = conjugate(parts)
-        if parts >= conj:
-            rows.append((parts, *_inverse_euler(parts), 1 + (parts != conj)))
-    common = lcm(*(local for _, _, local, _ in rows))
-    table = tuple((parts, inv, weight * common // local) for parts, inv, local, weight in rows)
+    rows = [(parts, *_inverse_euler(parts)) for parts in enumerate_partitions(n)
+            if parts >= conjugate(parts)]
+    common = lcm(*(local for _, _, local in rows))
+    table = tuple((parts, inv, (1 + (parts != conjugate(parts))) * common // local)
+                  for parts, inv, local in rows)
     return table, common, max(len(inv) for _, inv, _ in table)
 
 
 @lru_cache(maxsize=None)
 def _ch_eps(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """k! * ch_k at t = 1 for each row of :func:`_fixed_points`, aligned
-    with it: the box sum of (-(c+r) + (c-r)*eps)^k through eps^P.  A
-    bracket multiplies these and dots the product with the row's inverse
-    Euler class; ch_0, the rank n, needs no table."""
+    with it: the box sum of (-(c+r) + (c-r)*eps)^k, a polynomial of degree
+    k, through eps^min(k, P).  A bracket multiplies these and takes the
+    product times the row's inverse Euler class; ch_0, the rank n, needs
+    no table."""
     out = []
     for parts, inv, _ in _fixed_points(n)[0]:
-        ch = [0] * len(inv)
+        ch = [0] * (min(k, len(inv) - 1) + 1)
         for (c, r) in taut_weights(parts):
             d = -(c + r)
-            for j in range(min(k, len(inv) - 1) + 1):
+            for j in range(len(ch)):
                 ch[j] += comb(k, j) * d ** (k - j) * (c - r) ** j
         out.append(tuple(ch))
     return tuple(out)
 
 
-def _mul_trunc(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two eps power series, truncated to len(a) <= len(b)."""
-    return [sum(map(mul, a[:j + 1], b[j::-1])) for j in range(len(a))]
+def _mul_trunc(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
+    """Product of two eps power series through eps^(length - 1), or through
+    its top degree len(a) + len(b) - 2 if that is lower."""
+    # a behind len(b) - 1 zeros, so that every coefficient is one dot
+    # product with b reversed
+    padded = [0] * (len(b) - 1)
+    padded += a
+    rev = b[::-1]
+    return [sum(map(mul, padded[j:], rev)) for j in range(min(len(a) + len(b) - 1, length))]
+
+
+@lru_cache(maxsize=None)
+def _row_norm(n: int) -> int:
+    """Sum over the rows of :func:`_fixed_points` of |factor| * ||inv||_1."""
+    return sum(abs(factor) * sum(map(abs, inv)) for _, inv, factor in _fixed_points(n)[0])
+
+
+@lru_cache(maxsize=None)
+def _ch_norm(n: int, k: int) -> int:
+    """The largest ||ch||_1 over the lists of :func:`_ch_eps`."""
+    return max(sum(map(abs, ch)) for ch in _ch_eps(n, k))
+
+
+def _pack(coeffs: Iterable[int], bits: int) -> int:
+    """The eps-list at eps = 2^bits."""
+    return sum(c << bits * i for i, c in enumerate(coeffs))
+
+
+@lru_cache(maxsize=None)
+def _packed_rows(n: int, bits: int) -> tuple[int, ...]:
+    """Each row of :func:`_fixed_points` as factor * eps^(width - len(inv))
+    * inv at eps = X = 2^bits, mod X^width: eps^(P - 2m) of every row sits
+    at digit width - 1 - 2m."""
+    rows, _, width = _fixed_points(n)
+    mask = (1 << bits * width) - 1
+    return tuple(factor * _pack(inv, bits) << bits * (width - len(inv)) & mask
+                 for _, inv, factor in rows)
+
+
+@lru_cache(maxsize=None)
+def _packed_ch(n: int, k: int, bits: int) -> tuple[int, ...]:
+    """The lists of :func:`_ch_eps` at eps = 2^bits, mod 2^(bits * width)."""
+    mask = (1 << bits * _fixed_points(n)[2]) - 1
+    return tuple(_pack(ch, bits) & mask for ch in _ch_eps(n, k))
 
 
 BRACKET_CACHE_SIZE = 256
+
+# The largest bits * width that _bracket packs.  Warm brackets on both
+# paths, n = 4..24 times 14 insertion shapes up to four indices <= 20
+# (best of 14, CPython 3.11, 2 vCPUs), packed/list time: every one of the
+# 122 shapes at or below 1,536 bits ran faster packed (0.09 - 0.77), the
+# 25 shapes from 1,537 to 2,048 bits were mixed (0.07 - 1.20), and above
+# that packing mostly lost, by up to 6.4 times.
+PACKED_MAX_BITS = 1536
 
 
 def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
@@ -266,17 +333,37 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
 @lru_cache(maxsize=BRACKET_CACHE_SIZE)
 def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
     rows, common, width = _fixed_points(n)
+    # Each coefficient of the row sum S = sum_r factor_r * eps^(width -
+    # len(inv_r)) * inv_r * prod_k ch_k,r, untruncated, is at most
+    # sum_r |factor_r| * ||inv_r||_1 * prod_k ||ch_k,r||_1 <= bound, as
+    # ||a * b||_1 <= ||a||_1 * ||b||_1; so |digit| <= bound < 2^(bits - 1),
+    # and S at eps = 2^bits, mod 2^(bits * width), keeps every coefficient
+    # below eps^width as one signed base-2^bits digit
+    bound = _row_norm(n)
+    for k in ks:
+        bound *= _ch_norm(n, k)
+    bits = -(-(bound.bit_length() + 2) // 64) * 64
     # totals[m] / common is the coefficient of eps^-2m
-    totals = [0] * width
-    for (_, inv, factor), *chs in zip(rows, *(_ch_eps(n, k) for k in ks)):
-        c = chs[0] if chs else (1,)
-        for ch in chs[1:]:
-            c = _mul_trunc(c, ch)
-        # the fixed point adds (inv * c)_j / local to eps^(j-P), and with
-        # its transpose only the even powers, so (inv * c)_(P-2m) goes to
-        # totals[m]
-        for m, j in enumerate(range(len(inv) - 1, -1, -2)):
-            totals[m] += factor * sum(map(mul, c[:j + 1], inv[j::-1]))
+    if bits * width <= PACKED_MAX_BITS:
+        mask = (1 << bits * width) - 1
+        p = _packed_rows(n, bits)
+        for k in ks:
+            p = map(and_, map(mul, p, _packed_ch(n, k, bits)), repeat(mask))
+        digit, half = (1 << bits) - 1, 1 << bits - 1
+        # half added to every digit makes each one nonnegative
+        s = (sum(p) + mask // digit * half) & mask
+        totals = [(s >> bits * j & digit) - half for j in range(width - 1, -1, -2)]
+    else:
+        totals = [0] * width
+        for (_, inv, factor), *chs in zip(rows, *(_ch_eps(n, k) for k in ks)):
+            c = chs[0] if chs else (1,)
+            for ch in chs[1:]:
+                c = _mul_trunc(c, ch, len(inv))
+            # the fixed point adds (inv * c)_j / local to eps^(j-P), and
+            # with its transpose only the even powers, so (inv * c)_(P-2m)
+            # goes to totals[m]
+            for m, j in enumerate(range(len(inv) - 1, -1, -2)):
+                totals[m] += factor * sum(map(mul, c[:j + 1], inv[j::-1]))
     if any(totals[1:]):
         raise LocalizationError("localization sum not regular on diagonal")
     scale = 1

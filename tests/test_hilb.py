@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 from math import comb, factorial
 
 import pytest
@@ -222,24 +223,108 @@ def test_non_integer_input_is_rejected_whatever_the_caches_hold(hilb_caches):
 
 
 def test_cold_bracket_caches_only_eps_lists(hilb_caches):
+    def entries():
+        return {cache.__name__: cache.cache_info().currsize
+                for cache in hilb_caches if cache.cache_info().currsize}
+
     hilb_integral(8, [2, 3])
-    # one table with a row per transpose pair of partitions of 8, one ch
-    # table per k, one bracket
+    # one table with a row per transpose pair of partitions of 8 and its
+    # norm, one ch table and one norm per k, the rows and the ch tables
+    # packed at one base (128 bits), one bracket
     assert len(hilb._fixed_points(8)[0]) == 12
-    assert sum(cache.cache_info().currsize for cache in hilb_caches) == 1 + 2 + 1
-    # a second bracket at n = 8 adds no table: the partitions are enumerated once
+    tables = {"_fixed_points": 1, "_row_norm": 1, "_ch_eps": 2, "_ch_norm": 2,
+              "_packed_rows": 1, "_packed_ch": 2}
+    assert entries() == {**tables, "_bracket": 1}
+    # a second bracket at n = 8 and the same base adds no table: the
+    # partitions are enumerated once
     hilb_integral(8, [2])
-    assert sum(cache.cache_info().currsize for cache in hilb_caches) == 1 + 2 + 2
+    assert entries() == {**tables, "_bracket": 2}
     # ch_0 is the rank: a padded bracket shares the memo entry of its
     # unpadded bracket and builds no ch_0 table
     misses = hilb._bracket.cache_info().misses
     unpadded = hilb_integral(8, [2, 3])
     assert hilb_integral(8, [0, 2, 3]) == Monomial(unpadded.coeff * 8, unpadded.exp)
     assert hilb._bracket.cache_info().misses == misses
-    assert sum(cache.cache_info().currsize for cache in hilb_caches) == 1 + 2 + 2
+    assert entries() == {**tables, "_bracket": 2}
+    # the empty bracket packs the rows at a base of its own (64 bits)
+    hilb_integral(8)
+    assert entries() == {**tables, "_packed_rows": 2, "_bracket": 3}
+    # a table too wide to pack runs the lists and packs nothing
+    hilb_integral(16, [2])
+    assert entries() == {**tables, "_fixed_points": 2, "_row_norm": 2, "_ch_eps": 3,
+                         "_ch_norm": 3, "_packed_rows": 2, "_bracket": 4}
     lam = (3, 1)
     data = fixed_point_data(lam)
     assert (data.tangent, data.taut) == (tuple(tangent_weights(lam)), tuple(taut_weights(lam)))
+
+
+def packing_grid():
+    """Brackets on both sides of PACKED_MAX_BITS: every multiset of at most
+    three indices <= 8 and a few large indices at n <= 10, and shapes
+    whose bits * width lies from 1,344 to 3,456 at n = 12..16."""
+    grid = [(n, ks) for n in range(1, 11) for m in range(4)
+            for ks in combinations_with_replacement(range(9), m)]
+    grid += [(n, ks) for n in range(1, 11) for ks in [(30,), (30, 30), (100,)]]
+    grid += [(n, ks) for n in range(12, 17)
+             for ks in [(), (2,), (4,), (8,), (2, 2), (3, 5), (8, 8), (3, 4, 5), (20,)]]
+    return grid
+
+
+def test_packed_and_list_paths_agree(monkeypatch, hilb_caches):
+    grid = packing_grid()
+    values = []
+    for limit in (0, 10 ** 9):
+        monkeypatch.setattr(hilb, "PACKED_MAX_BITS", limit)
+        hilb._bracket.cache_clear()
+        values.append([hilb_integral(n, ks) for n, ks in grid])
+        # 0 packs nothing, 10**9 packs every bracket with an insertion
+        packed = hilb._packed_ch.cache_info().currsize
+        assert (packed == 0) == (limit == 0)
+    assert values[0] == values[1]
+
+
+def convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_packed_base_holds_every_digit(monkeypatch, hilb_caches):
+    # the base 2^bits the kernel picks must hold, as a signed digit, every
+    # coefficient below eps^width of the row sum, multiplied out from the
+    # lists without truncation
+    bases = {}
+    packed_rows = hilb._packed_rows
+
+    def recording(n, bits):
+        bases[n] = bits
+        return packed_rows(n, bits)
+
+    monkeypatch.setattr(hilb, "_packed_rows", recording)
+    grid = packing_grid()
+    count = 0
+    for n, ks in grid:
+        ks = tuple(k for k in ks if k)
+        hilb._bracket.cache_clear()
+        bases.clear()
+        hilb_integral(n, ks)
+        if n not in bases:
+            continue
+        count += 1
+        rows, _, width = hilb._fixed_points(n)
+        total = [0] * width
+        for r, (_, inv, factor) in enumerate(rows):
+            term = [0] * (width - len(inv)) + [factor * x for x in inv]
+            for k in ks:
+                term = convolve(term, hilb._ch_eps(n, k)[r])
+            total = [x + y for x, y in zip(total, term)]
+        assert max(map(abs, total)) < 2 ** (bases[n] - 1), (n, ks)
+        assert bases[n] * width <= hilb.PACKED_MAX_BITS
+    # every bracket at n <= 10 but the largest indices packs, and some at
+    # n = 12, 13 do; the rest run the lists
+    assert (count, len(grid)) == (2233, 2275)
 
 
 def test_inverse_euler_inverts_the_tangent_euler_class():
@@ -258,7 +343,7 @@ def test_inverse_euler_inverts_the_tangent_euler_class():
                 den = [(a + b) * x + (b - a) * y for x, y in zip(den, [0] + den)]
         inv, local = hilb._inverse_euler(lam)
         d0 = den[0]
-        assert hilb._mul_trunc(list(inv), den) == [d0 ** (poles + 1)] + [0] * poles, lam
+        assert hilb._mul_trunc(inv, den, len(inv)) == [d0 ** (poles + 1)] + [0] * poles, lam
         assert local == slopes * d0 ** (poles + 1), lam
 
 
@@ -295,7 +380,7 @@ def eps_product(lam, ks):
     for k in ks:
         ch = [sum(comb(k, j) * (-(c + r)) ** (k - j) * (c - r) ** j for c, r in taut_weights(lam))
               if j <= k else 0 for j in range(len(s))]
-        s = hilb._mul_trunc(s, ch)
+        s = hilb._mul_trunc(s, ch, len(s))
     return list(s), local
 
 

@@ -42,6 +42,8 @@ COMMANDS = [
     "partitions --n 4",
     "hilb-integral --n 3 --ch 2",
     "hilb-integral --n 4 --ch 2 --ch 2",
+    # too wide to pack: the list path, with a product of two ch lists
+    "hilb-integral --n 16 --ch 8 --ch 8",
     "ifunction --n 2 --ch 4",
     "ifunction --n 5 --ch 2",
     "tn --n 4 --psi1 2 --psiinf 3",
