@@ -82,24 +82,14 @@ def _cmd_partitions(args):
     return {"n": args.n}, result, "\n".join(lines + [f"count: {len(parts)}"])
 
 
-def _bracket_flags(args) -> list[int]:
-    """Validate the --n and --ch flags of hilb-integral and ifunction."""
+def _cmd_bracket(args):
+    """hilb-integral and ifunction: build_parser reads args.bracket from the
+    module globals when run calls it, so a wrapper put there is called."""
     _check_range("--n", args.n, 1, MAX_N)
     ks = sorted(args.ch or [])
-    if any(k < 0 for k in ks):
+    if ks and ks[0] < 0:
         raise UsageError("--ch must be >= 0")
-    return ks
-
-
-def _cmd_hilb_integral(args):
-    ks = _bracket_flags(args)
-    value = hilb_integral(args.n, ks)
-    return {"n": args.n, "ch": ks}, _monomial_json(value), str(value)
-
-
-def _cmd_ifunction(args):
-    ks = _bracket_flags(args)
-    value = nonpolar_ifunction(args.n, ks)
+    value = args.bracket(args.n, ks)
     return {"n": args.n, "ch": ks}, _monomial_json(value), str(value)
 
 
@@ -199,14 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ch", "--k", dest="ch", type=int, action="append",
                    help="a ch index; repeat for multiple insertions")
     common(p)
-    p.set_defaults(fn=_cmd_hilb_integral)
+    p.set_defaults(fn=_cmd_bracket, bracket=hilb_integral)
 
     p = sub.add_parser("ifunction",
                        help="nonpolar one-end contribution, as a monomial in u = t + z")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ch", "--k", dest="ch", type=int, action="append")
     common(p)
-    p.set_defaults(fn=_cmd_ifunction)
+    p.set_defaults(fn=_cmd_bracket, bracket=nonpolar_ifunction)
 
     p = sub.add_parser("tn", help="integral of psi1^a psi_inf^b over the tree locus T_n")
     p.add_argument("--n", type=int, required=True)

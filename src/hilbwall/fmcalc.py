@@ -47,7 +47,9 @@ def reduce_pure_tilde(k: int, d: int) -> list[int]:
     """Value of the bracket of k bare tilde insertions on the FM space of a
     d-dimensional variety: the product of the dilaton factors
     (-1)^d * (c_d - m) for m = k-1 .. 0, down to the empty bracket 1, as
-    its coefficients in ascending powers of c_d."""
+    its coefficients in ascending powers of c_d; a non-integer d raises
+    TypeError."""
+    d = index(d)
     if d not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
     if k < 0:

@@ -45,15 +45,16 @@ them as integers over common, and the only Fraction is built at the end.
 It takes one of two paths:
 
 * packed, when the table is small: every eps-list is evaluated at
-  eps = X = 2^bits (Kronecker substitution) and kept mod X^width, width
-  the longest inv, with each row shifted so that its eps^P sits at digit
-  width - 1.  A row's term is then a few big-integer products and the
-  sum over rows one ``sum``; the even powers are the signed digits at
-  width - 1, width - 3, ...  The base is a proven bound: no coefficient
-  of the untruncated sum exceeds sum_r |factor_r| * ||inv_r||_1 times
-  the largest ||ch||_1 of each insertion, and 2^(bits - 1) exceeds that.
-  The path runs when bits * width <= PACKED_MAX_BITS, the crossover
-  measured against the list path;
+  eps = X = 2^bits (Kronecker substitution) and stored signed, each row
+  shifted so that its eps^P sits at digit width - 1, width the longest
+  inv.  A row's term is then a few big-integer products and the sum over
+  rows one ``sum``, the bracket reducing mod X^width after each (a ring
+  homomorphism, so the tables need no reduction of their own); the even
+  powers are the signed digits at width - 1, width - 3, ...  The base is
+  a proven bound: no coefficient of the untruncated sum exceeds sum_r
+  |factor_r| * ||inv_r||_1 times the largest ||ch||_1 of each insertion,
+  and 2^(bits - 1) exceeds that.  The path runs when bits * width <=
+  PACKED_MAX_BITS, the crossover measured against the list path;
 * lists, otherwise: each row multiplies its ch lists through eps^P and
   reads each even power of inv times that product as one dot product.
   At large n, factor * inv fills every digit, so packing would cost more.
@@ -99,7 +100,7 @@ def normalize_insertions(ks: Iterable[int]) -> tuple[int, ...]:
     """Canonical (sorted) form of a multiset of ch indices, all >= 0; a
     non-integer index raises TypeError."""
     out = tuple(sorted(map(index, ks)))
-    if any(k < 0 for k in out):
+    if out and out[0] < 0:
         raise ValueError("ch indices must be nonnegative")
     return out
 
@@ -285,19 +286,17 @@ def _pack(coeffs: Iterable[int], bits: int) -> int:
 @lru_cache(maxsize=None)
 def _packed_rows(n: int, bits: int) -> tuple[int, ...]:
     """Each row of :func:`_fixed_points` as factor * eps^(width - len(inv))
-    * inv at eps = X = 2^bits, mod X^width: eps^(P - 2m) of every row sits
-    at digit width - 1 - 2m."""
+    * inv at eps = X = 2^bits, a signed integer: eps^(P - 2m) of every row
+    sits at digit width - 1 - 2m.  :func:`_bracket` reduces mod X^width."""
     rows, _, width = _fixed_points(n)
-    mask = (1 << bits * width) - 1
-    return tuple(factor * _pack(inv, bits) << bits * (width - len(inv)) & mask
+    return tuple(factor * _pack(inv, bits) << bits * (width - len(inv))
                  for _, inv, factor in rows)
 
 
 @lru_cache(maxsize=None)
 def _packed_ch(n: int, k: int, bits: int) -> tuple[int, ...]:
-    """The lists of :func:`_ch_eps` at eps = 2^bits, mod 2^(bits * width)."""
-    mask = (1 << bits * _fixed_points(n)[2]) - 1
-    return tuple(_pack(ch, bits) & mask for ch in _ch_eps(n, k))
+    """The lists of :func:`_ch_eps` at eps = 2^bits, signed, as the rows."""
+    return tuple(_pack(ch, bits) for ch in _ch_eps(n, k))
 
 
 BRACKET_CACHE_SIZE = 256

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import factorial
+from operator import index
 from typing import Iterator
 
 from .exact import ExactError, Monomial
@@ -128,7 +129,8 @@ def _log_derivative(d: int, q_order: int) -> list[int]:
     """The coefficients s_k of q F'/F = sum_{k>=1} s_k q^k, at index k <= q_order,
     for the dimension-d base F = prod_m (1 - (+-q)^m)^(-e(m)): e(m) is [m = 1],
     1 or m, so s_k = sum_{m | k} m e(m) is 1, sigma_1(k) or, by q -> -q,
-    (-1)^k sigma_2(k)."""
+    (-1)^k sigma_2(k).  A non-integer d raises TypeError."""
+    d = index(d)
     if d not in (1, 2, 3):
         raise ValueError("d must be 1, 2 or 3")
     s = [0] * (q_order + 1)
@@ -146,8 +148,6 @@ def euler_series_wc(d: int, c: int, q_order: int) -> list[int]:
     non-integer c raises the closed form's ExactError."""
     if not isinstance(c, int):
         raise ExactError("series power must be an integer")
-    if q_order < 0:
-        raise ValueError("q_order must be nonnegative")
     g = [0] + euler_series_closed(d, 1, q_order)[1:]  # F - 1
     total = [1] + [0] * q_order
     power = list(total)  # g^(k-1), which starts at q^(k-1)

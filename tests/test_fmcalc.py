@@ -48,6 +48,8 @@ def test_reduce_pure_tilde_validation():
             reduce_pure_tilde(1, d)
     with pytest.raises(ValueError):
         reduce_pure_tilde(-1, 2)
+    with pytest.raises(TypeError):
+        reduce_pure_tilde(3, 2.0)  # not a list of floats
 
 
 # --- pure tilde closure ----------------------------------------------------------

@@ -123,11 +123,6 @@ def test_higher_ch_anchor_values():
     assert hilb_integral(3, [6]) == mono(0, F(77, 4320))
 
 
-def test_agrees_with_rational_limit_oracle():
-    for n, ks in [(1, []), (2, [2]), (3, []), (3, [4]), (4, [2, 2]), (4, [3])]:
-        assert hilb_integral_via_limit(n, ks) == hilb_integral(n, ks)
-
-
 def test_limit_oracle_on_every_small_bracket():
     brackets = [(n, ks) for n in range(1, 5) for ks in _sum_bounded_partitions(6)]
     # ch_0 pads, which the kernel reads as the rank n and the oracle sums
@@ -191,11 +186,6 @@ def test_bracket_memo_runs_the_kernel_once():
     assert (info.misses, info.hits) == (1, 1)
     assert info.maxsize == hilb.BRACKET_CACHE_SIZE
     assert value == hilb_integral_via_limit(5, [2, 4])
-
-
-def test_multi_insertion_values_against_limit_oracle():
-    assert hilb_integral(2, [2, 2]) == hilb_integral_via_limit(2, [2, 2])
-    assert hilb_integral(3, [2, 2, 2]) == hilb_integral_via_limit(3, [2, 2, 2])
 
 
 def test_input_validation():

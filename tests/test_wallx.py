@@ -17,12 +17,6 @@ def mono(exp, coeff):
 
 # --- term expanders ---------------------------------------------------------
 
-def test_wall_terms_counts():
-    assert len(expand_wall_terms(2, 0, 1)) == 2
-    assert len(expand_wall_terms(3, 0, 2)) == 1
-    assert len(expand_wall_terms(2, 1, 1)) == 5
-
-
 def test_wall_terms_structure():
     terms = expand_wall_terms(3, 0, 2)
     (term,) = terms
@@ -163,6 +157,11 @@ def test_euler_validation():
         euler_series_wc(4, 1, 4)
     with pytest.raises(ValueError):
         euler_series_closed(1, 1, -1)
+    with pytest.raises(ValueError):
+        euler_series_wc(1, 1, -1)
+    for series in (euler_series_wc, euler_series_closed):
+        with pytest.raises(TypeError):
+            series(2.0, 3, 5)  # not a list of floats
 
 
 def test_euler_wc_rejects_a_non_integer_power_as_the_closed_form_does():
