@@ -63,9 +63,9 @@ The sum is regular at eps = 0; a surviving negative power signals a
 convention bug and raises :class:`LocalizationError`.  ch_0 is the rank
 n, a factor :func:`hilb_integral` takes out before the memo.
 
-The only caches are these tables, one per n and one per (n, k), their
-norms, the packed rows per (n, bits) and packed ch lists per (n, k,
-bits), all kept for the life of the process, and the last
+The only caches are these tables, one per n and one per (n, k), each
+carrying its norm, the packed rows per (n, bits) and packed ch lists per
+(n, k, bits), all kept for the life of the process, and the last
 BRACKET_CACHE_SIZE brackets; weight data is recomputed when asked for.
 bits is a multiple of 64, so few packed tables exist.  A table has (p(n)
 + sc(n)) / 2 rows, sc(n) the self-conjugate partitions; a cold ch_2
@@ -94,15 +94,6 @@ from .exact import ExactError, Monomial
 
 class LocalizationError(ExactError):
     """The fixed-point sum failed an exactness or regularity check."""
-
-
-def normalize_insertions(ks: Iterable[int]) -> tuple[int, ...]:
-    """Canonical (sorted) form of a multiset of ch indices, all >= 0; a
-    non-integer index raises TypeError."""
-    out = tuple(sorted(map(index, ks)))
-    if out and out[0] < 0:
-        raise ValueError("ch indices must be nonnegative")
-    return out
 
 
 def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
@@ -217,13 +208,14 @@ def _inverse_euler(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _fixed_points(n: int) -> tuple[tuple[tuple, ...], int, int]:
+def _fixed_points(n: int) -> tuple[tuple[tuple, ...], int, int, int]:
     """The kernel table of n: one row (parts, inv, weight * common // local)
     per transpose pair of partitions, for the member with parts >=
     conjugate(parts), in :func:`enumerate_partitions` order; the weight is
     2 when the transpose is a different partition, which the row stands
     for, and 1 otherwise.  Then the shared denominator common, the lcm of
-    every row's scale local, and the width, the longest inv.
+    every row's scale local; the width, the longest inv; and the table's
+    norm, the sum over the rows of |factor| * ||inv||_1.
 
     Unbounded: evicting tables made repeated brackets about four times
     slower, and a bound on the count of n bounds no bytes, since a cold
@@ -234,16 +226,17 @@ def _fixed_points(n: int) -> tuple[tuple[tuple, ...], int, int]:
     common = lcm(*(local for _, _, local in rows))
     table = tuple((parts, inv, (1 + (parts != conjugate(parts))) * common // local)
                   for parts, inv, local in rows)
-    return table, common, max(len(inv) for _, inv, _ in table)
+    return (table, common, max(len(inv) for _, inv, _ in table),
+            sum(abs(factor) * sum(map(abs, inv)) for _, inv, factor in table))
 
 
 @lru_cache(maxsize=None)
-def _ch_eps(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+def _ch_eps(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """k! * ch_k at t = 1 for each row of :func:`_fixed_points`, aligned
     with it: the box sum of (-(c+r) + (c-r)*eps)^k, a polynomial of degree
     k, through eps^min(k, P).  A bracket multiplies these and takes the
     product times the row's inverse Euler class; ch_0, the rank n, needs
-    no table."""
+    no table.  Then the table's norm, the largest ||ch||_1 of its lists."""
     out = []
     for parts, inv, _ in _fixed_points(n)[0]:
         ch = [0] * (min(k, len(inv) - 1) + 1)
@@ -252,7 +245,7 @@ def _ch_eps(n: int, k: int) -> tuple[tuple[int, ...], ...]:
             for j in range(len(ch)):
                 ch[j] += comb(k, j) * d ** (k - j) * (c - r) ** j
         out.append(tuple(ch))
-    return tuple(out)
+    return tuple(out), max(sum(map(abs, ch)) for ch in out)
 
 
 def _mul_trunc(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
@@ -266,18 +259,6 @@ def _mul_trunc(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
     return [sum(map(mul, padded[j:], rev)) for j in range(min(len(a) + len(b) - 1, length))]
 
 
-@lru_cache(maxsize=None)
-def _row_norm(n: int) -> int:
-    """Sum over the rows of :func:`_fixed_points` of |factor| * ||inv||_1."""
-    return sum(abs(factor) * sum(map(abs, inv)) for _, inv, factor in _fixed_points(n)[0])
-
-
-@lru_cache(maxsize=None)
-def _ch_norm(n: int, k: int) -> int:
-    """The largest ||ch||_1 over the lists of :func:`_ch_eps`."""
-    return max(sum(map(abs, ch)) for ch in _ch_eps(n, k))
-
-
 def _pack(coeffs: Iterable[int], bits: int) -> int:
     """The eps-list at eps = 2^bits."""
     return sum(c << bits * i for i, c in enumerate(coeffs))
@@ -288,7 +269,7 @@ def _packed_rows(n: int, bits: int) -> tuple[int, ...]:
     """Each row of :func:`_fixed_points` as factor * eps^(width - len(inv))
     * inv at eps = X = 2^bits, a signed integer: eps^(P - 2m) of every row
     sits at digit width - 1 - 2m.  :func:`_bracket` reduces mod X^width."""
-    rows, _, width = _fixed_points(n)
+    rows, _, width, _ = _fixed_points(n)
     return tuple(factor * _pack(inv, bits) << bits * (width - len(inv))
                  for _, inv, factor in rows)
 
@@ -296,7 +277,7 @@ def _packed_rows(n: int, bits: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _packed_ch(n: int, k: int, bits: int) -> tuple[int, ...]:
     """The lists of :func:`_ch_eps` at eps = 2^bits, signed, as the rows."""
-    return tuple(_pack(ch, bits) for ch in _ch_eps(n, k))
+    return tuple(_pack(ch, bits) for ch in _ch_eps(n, k)[0])
 
 
 BRACKET_CACHE_SIZE = 256
@@ -323,7 +304,9 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
     n = index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    ks = normalize_insertions(ks)
+    ks = tuple(sorted(map(index, ks)))
+    if ks and ks[0] < 0:
+        raise ValueError("ch indices must be nonnegative")
     zeros = ks.count(0)  # ch_0 is the rank n at every fixed point
     value = _bracket(n, ks[zeros:])
     return Monomial(value.coeff * n ** zeros, value.exp) if zeros else value
@@ -331,16 +314,16 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
 
 @lru_cache(maxsize=BRACKET_CACHE_SIZE)
 def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
-    rows, common, width = _fixed_points(n)
+    rows, common, width, bound = _fixed_points(n)
     # Each coefficient of the row sum S = sum_r factor_r * eps^(width -
     # len(inv_r)) * inv_r * prod_k ch_k,r, untruncated, is at most
     # sum_r |factor_r| * ||inv_r||_1 * prod_k ||ch_k,r||_1 <= bound, as
     # ||a * b||_1 <= ||a||_1 * ||b||_1; so |digit| <= bound < 2^(bits - 1),
     # and S at eps = 2^bits, mod 2^(bits * width), keeps every coefficient
     # below eps^width as one signed base-2^bits digit
-    bound = _row_norm(n)
-    for k in ks:
-        bound *= _ch_norm(n, k)
+    chs = [_ch_eps(n, k) for k in ks]
+    for _, norm in chs:
+        bound *= norm
     bits = -(-(bound.bit_length() + 2) // 64) * 64
     # totals[m] / common is the coefficient of eps^-2m
     if bits * width <= PACKED_MAX_BITS:
@@ -354,9 +337,9 @@ def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
         totals = [(s >> bits * j & digit) - half for j in range(width - 1, -1, -2)]
     else:
         totals = [0] * width
-        for (_, inv, factor), *chs in zip(rows, *(_ch_eps(n, k) for k in ks)):
-            c = chs[0] if chs else (1,)
-            for ch in chs[1:]:
+        for (_, inv, factor), *row in zip(rows, *(lists for lists, _ in chs)):
+            c = row[0] if row else (1,)
+            for ch in row[1:]:
                 c = _mul_trunc(c, ch, len(inv))
             # the fixed point adds (inv * c)_j / local to eps^(j-P), and
             # with its transpose only the even powers, so (inv * c)_(P-2m)
@@ -365,6 +348,8 @@ def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
                 totals[m] += factor * sum(map(mul, c[:j + 1], inv[j::-1]))
     if any(totals[1:]):
         raise LocalizationError("localization sum not regular on diagonal")
+    if not totals[0]:  # no k! for a zero bracket: factorial(10**6) takes seconds
+        return Monomial(0, 0)
     scale = 1
     for k in ks:
         scale *= factorial(k)
@@ -406,7 +391,7 @@ def hilb_integral_via_limit(n: int, ks: Iterable[int] = ()) -> Monomial:
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    ks = normalize_insertions(ks)
+    ks = tuple(ks)
     num: dict[tuple[int, int], Fraction] = {}
     den = {(0, 0): 1}
     for lam in enumerate_partitions(n):

@@ -197,6 +197,20 @@ def test_input_validation():
         hilb_integral(2, [-1])
     with pytest.raises(ValueError):
         ch_value((2,), -1)
+    with pytest.raises(ValueError):
+        hilb_integral_via_limit(2, [-1])
+
+
+def test_zero_bracket_forms_no_factorials(monkeypatch, hilb_caches):
+    # k! only scales a nonzero bracket: ch_k vanishes at n = 1 for k >= 1,
+    # and the ch_1 bracket vanishes at every n
+    def factorial(k):
+        raise AssertionError(f"factorial({k}) of a zero bracket")
+
+    monkeypatch.setattr(hilb, "factorial", factorial)
+    assert hilb_integral(1, [10 ** 6]) == Monomial(0, 0)
+    assert nonpolar_ifunction(1, [10 ** 6]) == Monomial(0, 0, "u")
+    assert hilb_integral(5, [1]) == Monomial(0, 0)
 
 
 def test_non_integer_input_is_rejected_whatever_the_caches_hold(hilb_caches):
@@ -218,12 +232,11 @@ def test_cold_bracket_caches_only_eps_lists(hilb_caches):
                 for cache in hilb_caches if cache.cache_info().currsize}
 
     hilb_integral(8, [2, 3])
-    # one table with a row per transpose pair of partitions of 8 and its
-    # norm, one ch table and one norm per k, the rows and the ch tables
+    # one table with a row per transpose pair of partitions of 8, one ch
+    # table per k, each carrying its norm, the rows and the ch tables
     # packed at one base (128 bits), one bracket
     assert len(hilb._fixed_points(8)[0]) == 12
-    tables = {"_fixed_points": 1, "_row_norm": 1, "_ch_eps": 2, "_ch_norm": 2,
-              "_packed_rows": 1, "_packed_ch": 2}
+    tables = {"_fixed_points": 1, "_ch_eps": 2, "_packed_rows": 1, "_packed_ch": 2}
     assert entries() == {**tables, "_bracket": 1}
     # a second bracket at n = 8 and the same base adds no table: the
     # partitions are enumerated once
@@ -241,8 +254,8 @@ def test_cold_bracket_caches_only_eps_lists(hilb_caches):
     assert entries() == {**tables, "_packed_rows": 2, "_bracket": 3}
     # a table too wide to pack runs the lists and packs nothing
     hilb_integral(16, [2])
-    assert entries() == {**tables, "_fixed_points": 2, "_row_norm": 2, "_ch_eps": 3,
-                         "_ch_norm": 3, "_packed_rows": 2, "_bracket": 4}
+    assert entries() == {**tables, "_fixed_points": 2, "_ch_eps": 3, "_packed_rows": 2,
+                         "_bracket": 4}
     lam = (3, 1)
     data = fixed_point_data(lam)
     assert (data.tangent, data.taut) == (tuple(tangent_weights(lam)), tuple(taut_weights(lam)))
@@ -303,12 +316,12 @@ def test_packed_base_holds_every_digit(monkeypatch, hilb_caches):
         if n not in bases:
             continue
         count += 1
-        rows, _, width = hilb._fixed_points(n)
+        rows, _, width, _ = hilb._fixed_points(n)
         total = [0] * width
         for r, (_, inv, factor) in enumerate(rows):
             term = [0] * (width - len(inv)) + [factor * x for x in inv]
             for k in ks:
-                term = convolve(term, hilb._ch_eps(n, k)[r])
+                term = convolve(term, hilb._ch_eps(n, k)[0][r])
             total = [x + y for x, y in zip(total, term)]
         assert max(map(abs, total)) < 2 ** (bases[n] - 1), (n, ks)
         assert bases[n] * width <= hilb.PACKED_MAX_BITS
@@ -351,7 +364,7 @@ def test_table_keeps_one_row_per_transpose_pair():
     assert [distinct_odd_part_count(n) for n in range(13)] == [
         1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3]
     for n in range(1, 13):
-        rows, common, _ = hilb._fixed_points(n)
+        rows, common, _, _ = hilb._fixed_points(n)
         assert 2 * len(rows) == pentagonal_partition_count(n) + distinct_odd_part_count(n)
         covered = []
         for parts, _, factor in rows:
@@ -396,10 +409,11 @@ def test_paired_rows_counted_once_break_regularity(monkeypatch, hilb_caches):
     full = hilb._fixed_points
 
     def once(n):
-        rows, common, width = full(n)
+        # the full table's norm still bounds the halved factors
+        rows, common, width, norm = full(n)
         rows = tuple((parts, inv, factor // (1 + (parts != conjugate(parts))))
                      for parts, inv, factor in rows)
-        return rows, common, width
+        return rows, common, width, norm
 
     monkeypatch.setattr(hilb, "_fixed_points", once)
     for n in (4, 5, 7):
@@ -419,4 +433,7 @@ def test_limit_oracle_at_n5():
     assert hilb_integral(5, [6]) == hilb_integral_via_limit(5, [6])
     assert hilb_integral(5, [4]) == hilb_integral_via_limit(5, [4])
     assert hilb_integral(5, [2, 3]) == hilb_integral_via_limit(5, [2, 3])
+    # any iterable, in any order: a one-shot iterator must serve every
+    # fixed point
+    assert hilb_integral_via_limit(3, iter([3, 2])) == hilb_integral(3, [2, 3])
     assert hilb_integral(5, [6]) == mono(-4, F(1, 120))
