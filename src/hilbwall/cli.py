@@ -22,7 +22,6 @@ from .exact import ExactError, Monomial
 from .fmcalc import tn_integral
 from .hilb import enumerate_partitions, hilb_integral
 from .ifun import nonpolar_ifunction
-from .verify import ALL_CHECKS
 from .wallx import ch_series, euler_series_closed, euler_series_wc
 
 
@@ -77,8 +76,12 @@ def _check_range(flag: str, value: int, least: int, most: int) -> None:
 def _cmd_partitions(args):
     _check_range("--n", args.n, 0, MAX_N)
     parts = enumerate_partitions(args.n)
-    result = {"count": len(parts), "partitions": [list(p) for p in parts]}
-    lines = [",".join(str(x) for x in p) if p else "(empty)" for p in parts]
+    # json renders the tuples as lists; the 5,604 lines of n = 30 are joined
+    # only for --format table
+    result = {"count": len(parts), "partitions": parts}
+    if args.format == "json":
+        return {"n": args.n}, result, ""
+    lines = [",".join(map(str, p)) if p else "(empty)" for p in parts]
     return {"n": args.n}, result, "\n".join(lines + [f"count: {len(parts)}"])
 
 
@@ -148,8 +151,9 @@ def _cmd_dt_check(args):
 
 
 def _cmd_verify(args):
+    from . import verify  # only this command pays for compiling the checks
     results = []
-    for name, check in ALL_CHECKS:
+    for name, check in verify.ALL_CHECKS:
         try:
             passed, detail = check()
         except Exception as exc:  # a raising check fails; the others still run

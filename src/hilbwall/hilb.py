@@ -97,21 +97,26 @@ class LocalizationError(ExactError):
 
 
 def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
-    """All partitions of n, as parts tuples in reverse-lexicographic order."""
+    """All partitions of n, as parts tuples in reverse-lexicographic order,
+    from (n,) to (1, ..., 1); n = 0 has the one partition ()."""
+    n = index(n)  # a float n would run the loop on float parts
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, cap: int, prefix: list[int]):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(remaining, cap), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    rec(n, max(n, 1), [])
+    parts = [n] if n else []
+    out = [tuple(parts)]
+    # the next partition pops the trailing ones, lowers the last part above 1
+    # by one to top and spreads the freed ones + 1 as parts top and a remainder
+    while len(parts) < n:
+        ones = 0
+        while parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        top = parts.pop() - 1
+        count, rest = divmod(ones + 1, top)
+        parts += [top] * (count + 1)
+        if rest:
+            parts.append(rest)
+        out.append(tuple(parts))
     return out
 
 

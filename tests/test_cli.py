@@ -165,32 +165,28 @@ def test_long_exact_values_print_in_full(capsys):
 
 
 def test_verify_cli_wiring_pass(monkeypatch, capsys):
-    from hilbwall import cli as climod
-    monkeypatch.setattr(climod, "ALL_CHECKS", [("alpha", lambda: (True, "fine"))])
+    monkeypatch.setattr(verify, "ALL_CHECKS", [("alpha", lambda: (True, "fine"))])
     code, out, _ = invoke(capsys, "verify")
     assert code == 0
     assert "PASS" in out and "all checks passed" in out
 
 
 def test_verify_cli_wiring_fail(monkeypatch, capsys):
-    from hilbwall import cli as climod
-    monkeypatch.setattr(climod, "ALL_CHECKS", [("alpha", lambda: (True, "fine")),
-                                               ("beta", lambda: (False, "broken"))])
+    monkeypatch.setattr(verify, "ALL_CHECKS", [("alpha", lambda: (True, "fine")),
+                                              ("beta", lambda: (False, "broken"))])
     code, out, _ = invoke(capsys, "verify")
     assert code == 1
     assert "FAIL" in out and "SOME CHECKS FAILED" in out
 
 
 def test_verify_reports_every_check_when_one_raises(monkeypatch, capsys):
-    from hilbwall import cli as climod
-
     def raising():
         raise LocalizationError("residual eps pole")
     checks = list(verify.ALL_CHECKS)
     index = [check for _, check in checks].index(verify.check_property_suites)
     name = checks[index][0]
     checks[index] = (name, raising)
-    monkeypatch.setattr(climod, "ALL_CHECKS", checks)
+    monkeypatch.setattr(verify, "ALL_CHECKS", checks)
     code, out, err = invoke(capsys, "verify")
     assert code == 1 and err == ""
     lines = out.splitlines()
@@ -200,8 +196,7 @@ def test_verify_reports_every_check_when_one_raises(monkeypatch, capsys):
 
 
 def test_verify_cli_json_shape(monkeypatch, capsys):
-    from hilbwall import cli as climod
-    monkeypatch.setattr(climod, "ALL_CHECKS", [("alpha", lambda: (True, "fine"))])
+    monkeypatch.setattr(verify, "ALL_CHECKS", [("alpha", lambda: (True, "fine"))])
     code, out, _ = invoke(capsys, "verify", "--format", "json")
     assert code == 0
     doc = json.loads(out)
@@ -267,6 +262,11 @@ BYTE_STABLE = [
      'a1a3ea31c2e289f1ad67b482acc8a99c6efc698646bf3377c47b86aa748d57bc'),
     ('partitions --n 0', 'json', 0, '',
      'b403dd07a0a29cab190577e9e439ef7143ec814bd8405ed15c972564a1ec7458'),
+    # multi-digit parts 10, 11 and 12
+    ('partitions --n 12', 'table', 0, '',
+     'de3808e5b7dc9adabbc2d6c84b0fcbb4f2a9fc1fd14ef32d5e13098124e2e7f9'),
+    ('partitions --n 12', 'json', 0, '',
+     '6645b7bc96c6ffc657a11e1e85db8e1a3bc1f75afb6fceac72149107ceb53818'),
     ('hilb-integral --n 3 --ch 2', 'table', 0, '',
      'fdd70c93607c24a65c57c3d8eefe7024180d679978d0106fcecdf5d4c89d7797'),
     ('hilb-integral --n 3 --ch 2', 'json', 0, '',

@@ -49,11 +49,20 @@ def test_enumerate_partitions_basics():
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     with pytest.raises(ValueError):
         enumerate_partitions(-1)
+    for n in (0.5, 1.0, 3.0):
+        with pytest.raises(TypeError):
+            enumerate_partitions(n)
 
 
 def test_partition_counts_match_pentagonal_recurrence():
-    for n in range(0, 13):
-        assert len(enumerate_partitions(n)) == pentagonal_partition_count(n)
+    for n in range(0, 21):
+        parts = enumerate_partitions(n)
+        assert len(parts) == pentagonal_partition_count(n)
+        # strictly decreasing as tuples: reverse-lexicographic, no repeats
+        assert all(a > b for a, b in zip(parts, parts[1:])), n
+        for lam in parts:
+            assert sum(lam) == n and all(p > 0 for p in lam), lam
+            assert all(a >= b for a, b in zip(lam, lam[1:])), lam
     assert len(enumerate_partitions(8)) == 22
 
 
