@@ -4,9 +4,12 @@ Subcommands: partitions, hilb-integral, ifunction, tn, ch-series, euler,
 dt-check, verify.  Output is a human table by default or machine JSON with
 ``--format json``; JSON keys appear in a fixed order and all rationals are
 rendered as exact strings, so identical invocations produce byte-identical
-output.  Exit codes: 0 on success, 1 when ``verify`` finds a failing check,
-2 on flag or range errors, on an exactness or localization error, and when
-the output cannot be written; each exit 2 prints one ``error: ...`` line on
+output.  The JSON text is json's indent-2 layout, byte-identical to
+``json.dumps(doc, indent=2, ensure_ascii=False)``: :func:`_render` lays out
+the containers, and json renders every scalar and every empty container.
+Exit codes: 0 on success, 1 when ``verify`` finds a failing check, 2 on
+flag or range errors, on an exactness or localization error, and when the
+output cannot be written; each exit 2 prints one ``error: ...`` line on
 stderr and nothing on stdout.
 """
 
@@ -62,6 +65,32 @@ def _series_table(s: list) -> str:
     return "\n".join(f"q^{n}: {c}" for n, c in enumerate(s))
 
 
+# json's own scalar rendering, built once: a json.dumps call per scalar
+# would build an encoder each time
+_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _render(obj, indent: str = "\n") -> str:
+    """obj, of string-keyed dicts, lists, tuples and scalars, as
+    json.dumps(obj, indent=2, ensure_ascii=False) renders it.  With indent
+    set, json runs its pure-Python encoder, which collects one string per
+    token before it joins them, 71,411 for partitions --n 30; this builds
+    one string per container, and joins a list of exact ints in one call.
+    The items are generated into the join, so no list of them outlives it."""
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        return _scalar(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        opener, closer = "{", "}"
+        items = (_scalar(key) + ": " + _render(value, inner) for key, value in obj.items())
+    else:
+        opener, closer = "[", "]"
+        # bool is an int subclass that json writes as true or false
+        items = (map(str, obj) if set(map(type, obj)) == {int}
+                 else (_render(value, inner) for value in obj))
+    return opener + inner + ("," + inner).join(items) + indent + closer
+
+
 def _check_range(flag: str, value: int, least: int, most: int) -> None:
     if value < least:
         raise UsageError(f"{flag} must be >= {least}")
@@ -76,8 +105,8 @@ def _check_range(flag: str, value: int, least: int, most: int) -> None:
 def _cmd_partitions(args):
     _check_range("--n", args.n, 0, MAX_N)
     parts = enumerate_partitions(args.n)
-    # json renders the tuples as lists; the 5,604 lines of n = 30 are joined
-    # only for --format table
+    # _render writes each partition, a tuple of ints, as a json list in one
+    # join; the 5,604 table lines of n = 30 are joined only for --format table
     result = {"count": len(parts), "partitions": parts}
     if args.format == "json":
         return {"n": args.n}, result, ""
@@ -254,7 +283,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         if args.format == "json":
             doc = {"result": result, "query": {"command": args.command, **fields},
                    "version": __version__}
-            text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+            text = _render(doc) + "\n"
         else:
             text += "\n"
         if args.out:

@@ -249,6 +249,39 @@ def test_ch_series_above_the_bracket_bound_exits_2(monkeypatch, capsys):
         run(["ch-series", "--k", "200", "--order", "40"])
 
 
+def test_json_renderer_is_json_layout():
+    from hilbwall.cli import _render
+    doc = {"empty": [[], {}, {"deep": [[], {"deeper": {}}]}],
+           "nested": {"list": [(1, 2), {"a": 1, "b": ()}]},
+           # bool is an int subclass that json writes as true, not True
+           "bools": [1, True], "scalars": [True, None, 1.5],
+           "digits": [-10**39, 7], "long": -10**39,
+           "text": 'a "quote", a \\ backslash,\na newline and ≤'}
+    assert _render(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+
+
+def test_large_listing_allocates_little_beyond_its_output(monkeypatch):
+    import tracemalloc
+
+    class Sink:  # counts what is written and keeps none of it
+        written = 0
+
+        def write(self, text):
+            self.written += len(text)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert run(["partitions", "--n", "30", "--format", "json"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # json.dumps(indent=2) peaked at 8.4 times: its pure-Python encoder
+    # collects 71,411 chunks for these 692,802 characters
+    assert sink.written == 692802 and peak <= 4 * sink.written
+
+
 # (command line, format, exit code, stderr, sha256 of stdout): the README
 # examples and the edge cases around them, recorded once and pinned so that
 # any change to the rendered bytes shows up here
@@ -311,6 +344,9 @@ BYTE_STABLE = [
      '9160780d5c504b1c6e70039d6782e0de65a7dc60e0eaf55356ff930d2619bc6b'),
     ('dt-check --c -6 --order 16', 'json', 0, '',
      '4a373786d1dea72f6e003d6cd00f67d098a7abc3792a1256e6ec3520ff5b4b0e'),
+    # the series workload's partitions operation, the largest listing pinned
+    ('partitions --n 30', 'json', 0, '',
+     '7839402a89c668c963edd50b101c3c56e4c8bd421153ec3e49e4c111e15c6d1c'),
     # the orders the series benchmark workload runs
     ('euler --d 1 --c -6 --order 60 --check', 'table', 0, '',
      '05341bb508627a46a7feb11e9f742082b8eb201f698eed8099f75b438ec13c85'),
@@ -343,6 +379,9 @@ BYTE_STABLE = [
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('verify', 'table', 0, '',
      '699e71c4f51b4e16adf8f2344e11187e92dbaa263b37dc6fcfdb4a644a1b10cd'),
+    # the only JSON output with free-text detail strings
+    ('verify', 'json', 0, '',
+     'aa33c2272221cecc57fe35c5df2922271ddcb3044d3b858ac5a1688bb5ad8319'),
     # one row per rendering branch of a monomial: zero, exponent 0,
     # exponent 1, and the zero u-monomial of a vanishing or polar bracket
     ('hilb-integral --n 5 --ch 1', 'table', 0, '',

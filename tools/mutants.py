@@ -1,0 +1,142 @@
+"""Mutation sweep: plausible one-line bugs in src/ that a check must catch.
+
+Each entry of ``EDITS`` is ``(file, old, new, catcher)``: a one-line edit
+of a file under src/hilbwall and the first check that must fail on it,
+one of ``CATCHERS``: the ``verify`` command, ``tools/differential.py`` or
+the Tier-1 suite.  ``EQUIVALENT`` holds edits that change no result, each
+with its reason.  The sweep copies src/, tests/, tools/ and pyproject.toml
+into a temporary directory, applies one edit to a fresh copy at a time and
+runs the catcher there, one process at a time.
+
+Exits 1 when an ``old`` does not occur exactly once in its file, when a
+catcher fails on the unedited copy, when an edit's catcher passes, or when
+any catcher fails on an ``EQUIVALENT`` edit (the edit is caught after all,
+so it belongs in ``EDITS``); exits 0 otherwise.  Takes about a minute on
+2 vCPUs.  Run from the root of a checkout:
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "tools", "pyproject.toml")
+
+CATCHERS = {
+    "verify": [sys.executable, "-m", "hilbwall.cli", "verify"],
+    "differential": [sys.executable, "tools/differential.py"],
+    "tier1": [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+}
+
+HILB = "src/hilbwall/hilb.py"
+CLI = "src/hilbwall/cli.py"
+EDITS = [
+    # the packed base about one word too narrow for the bound
+    (HILB, "bits = -(-(bound.bit_length() + 2) // 64) * 64",
+     "bits = -(-(bound.bit_length() - 60) // 64) * 64", "verify"),
+    # the eps^0 digit of an odd-width table left out of totals
+    (HILB, "for j in range(width - 1, -1, -2)]",
+     "for j in range(width - 1, 0, -2)]", "verify"),
+    # the first insertion's norm left out of the bound
+    (HILB, "    for _, norm in chs:", "    for _, norm in chs[1:]:", "verify"),
+    # the rank factor n applied only for two or more ch_0
+    (HILB, "if zeros else value", "if zeros > 1 else value", "verify"),
+    # the ch lists cut one power of eps short
+    (HILB, "ch = [0] * (min(k, len(inv) - 1) + 1)",
+     "ch = [0] * min(k, len(inv) - 1)", "verify"),
+    # a pole of eps^-2 let through: no regular bracket has one, so only the
+    # planted-fault tests see it
+    (HILB, "if any(totals[1:]):", "if any(totals[2:]):", "tier1"),
+    # the other member of each transpose pair kept: its row at -eps has the
+    # same even part, so no value changes, only the rows the tests pin
+    (HILB, "if parts >= conjugate(parts)]", "if parts <= conjugate(parts)]", "tier1"),
+    # every table packed: no value changes, only the path the tests pin
+    (HILB, "if bits * width <= PACKED_MAX_BITS:", "if bits * width <= 10**9:",
+     "tier1"),
+    # JSON indented by one space a level: the byte-stable digests
+    (CLI, 'inner = indent + "  "', 'inner = indent + " "', "tier1"),
+    # True written as Python's True in an int line: the renderer test's [1, True]
+    (CLI, "set(map(type, obj)) == {int}",
+     "all(isinstance(value, int) for value in obj)", "tier1"),
+]
+EQUIVALENT = {
+    (HILB, "(1 + (parts != conjugate(parts)))", "(1 + (parts > conjugate(parts)))"):
+        "the table keeps only rows with parts >= conjugate(parts), so != and > agree",
+    (HILB, "digit, half = (1 << bits) - 1, 1 << bits - 1",
+     "digit, half = (1 << bits) - 1, 1 << bits - 2"):
+        "bits keeps two bits above the bound (bit_length() + 2), so every digit "
+        "lies below 2^(bits - 2) and a smaller offset still makes it nonnegative",
+}
+
+
+def _fails(catcher: str, tree: Path) -> bool:
+    """Whether the catcher exits nonzero, run in tree on its own sources."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(CATCHERS[catcher], cwd=tree, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode != 0
+
+
+def _tree(tmp: Path, *edit: str) -> Path:
+    """A fresh copy of the tree under tmp, with edit = (file, old, new)
+    applied if one is given."""
+    tree = Path(tempfile.mkdtemp(dir=tmp))
+    for name in COPIED:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, tree / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy(ROOT / name, tree / name)
+    if edit:
+        file, old, new = edit
+        path = tree / file
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    return tree
+
+
+def _sweep(tmp: Path) -> list[str]:
+    """Run every edit against its catcher; return the problems found."""
+    unedited = _tree(tmp)
+    problems = [f"{catcher} fails on the unedited tree"
+                for catcher in CATCHERS if _fails(catcher, unedited)]
+    if problems:
+        return problems
+    for file, old, new, catcher in EDITS:
+        caught = _fails(catcher, _tree(tmp, file, old, new))
+        print(f"{'caught' if caught else 'MISSED'} by {catcher}: {new!r}")
+        if not caught:
+            problems.append(f"{catcher} passes with {file}: {old!r} -> {new!r}")
+    for (file, old, new), reason in EQUIVALENT.items():
+        tree = _tree(tmp, file, old, new)
+        print(f"equivalent, {reason}: {new!r}")
+        problems += [f"equivalent but {catcher} fails with {file}: {old!r} -> {new!r}"
+                     for catcher in CATCHERS if _fails(catcher, tree)]
+    return problems
+
+
+def main() -> int:
+    problems = []
+    for file, old, _ in [edit[:3] for edit in EDITS] + list(EQUIVALENT):
+        count = (ROOT / file).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            problems.append(f"{file}: {old!r} occurs {count} times, not once")
+    if not problems:
+        with tempfile.TemporaryDirectory() as tmp:
+            problems = _sweep(Path(tmp))
+    for line in problems:
+        print(line)
+    if problems:
+        return 1
+    print(f"{len(EDITS)} edits caught, {len(EQUIVALENT)} equivalent and allowed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
