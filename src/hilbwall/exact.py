@@ -34,11 +34,12 @@ class Monomial(namedtuple("Monomial", "coeff exp var")):
     __slots__ = ()
 
     def __new__(cls, coeff: Fraction, exp: int, var: str = "t"):
-        if isinstance(coeff, int):
-            coeff = Fraction(coeff)
-        elif not isinstance(coeff, Fraction):
-            raise ExactError(f"not an exact scalar: {coeff!r}")
-        return super().__new__(cls, coeff, exp if coeff else 0, var)
+        if type(coeff) is not Fraction:
+            if isinstance(coeff, int):
+                coeff = Fraction(coeff)
+            elif not isinstance(coeff, Fraction):
+                raise ExactError(f"not an exact scalar: {coeff!r}")
+        return tuple.__new__(cls, (coeff, exp if coeff else 0, var))
 
     def is_zero(self) -> bool:
         return self.coeff == 0

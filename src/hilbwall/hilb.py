@@ -47,14 +47,14 @@ It takes one of two paths:
 * packed, when the table is small: every eps-list is evaluated at
   eps = X = 2^bits (Kronecker substitution) and stored signed, each row
   shifted so that its eps^P sits at digit width - 1, width the longest
-  inv.  A row's term is then a few big-integer products and the sum over
-  rows one ``sum``, the bracket reducing mod X^width after each (a ring
-  homomorphism, so the tables need no reduction of their own); the even
-  powers are the signed digits at width - 1, width - 3, ...  The base is
-  a proven bound: no coefficient of the untruncated sum exceeds sum_r
-  |factor_r| * ||inv_r||_1 times the largest ||ch||_1 of each insertion,
-  and 2^(bits - 1) exceeds that.  The path runs when bits * width <=
-  PACKED_MAX_BITS, the crossover measured against the list path;
+  inv.  A row's term is a few big-integer products mod X^width (a ring
+  homomorphism, so the tables need no reduction), the sum over rows one
+  ``sum``.  Half the base added to every digit makes it nonnegative, so
+  one mask tests the pole digits width - 3, width - 5, ... at once and
+  only the top digit, eps^0, is read.  The base is a proven bound: no
+  coefficient of the untruncated sum exceeds sum_r |factor_r| *
+  ||inv_r||_1 times the largest ||ch||_1 of each insertion, and
+  2^(bits - 1) exceeds that.  It runs when bits * width <= PACKED_MAX_BITS;
 * lists, otherwise: each row multiplies its ch lists through eps^P and
   reads each even power of inv times that product as one dot product.
   At large n, factor * inv fills every digit, so packing would cost more.
@@ -270,13 +270,17 @@ def _pack(coeffs: Iterable[int], bits: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _packed_rows(n: int, bits: int) -> tuple[int, ...]:
+def _packed_rows(n: int, bits: int) -> tuple[tuple[int, ...], int, int, int]:
     """Each row of :func:`_fixed_points` as factor * eps^(width - len(inv))
     * inv at eps = X = 2^bits, a signed integer: eps^(P - 2m) of every row
-    sits at digit width - 1 - 2m.  :func:`_bracket` reduces mod X^width."""
+    sits at digit width - 1 - 2m.  Then the mask X^width - 1, the offset (half
+    at every digit) and the check (digits width - 3, width - 5, ...)."""
     rows, _, width, _ = _fixed_points(n)
-    return tuple(factor * _pack(inv, bits) << bits * (width - len(inv))
-                 for _, inv, factor in rows)
+    digit, half = (1 << bits) - 1, 1 << bits - 1
+    mask = (1 << bits * width) - 1
+    return (tuple(factor * _pack(inv, bits) << bits * (width - len(inv))
+                  for _, inv, factor in rows), mask, mask // digit * half,
+            sum(digit << bits * j for j in range(width - 3, -1, -2)))
 
 
 @lru_cache(maxsize=None)
@@ -313,8 +317,9 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
     if ks and ks[0] < 0:
         raise ValueError("ch indices must be nonnegative")
     zeros = ks.count(0)  # ch_0 is the rank n at every fixed point
-    value = _bracket(n, ks[zeros:])
-    return Monomial(value.coeff * n ** zeros, value.exp) if zeros else value
+    v = _bracket(n, ks[zeros:])
+    c = v.coeff  # one constructor call: Fraction * int takes twice as long
+    return Monomial(Fraction(c.numerator * n ** zeros, c.denominator), v.exp) if zeros else v
 
 
 @lru_cache(maxsize=BRACKET_CACHE_SIZE)
@@ -330,16 +335,15 @@ def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
     for _, norm in chs:
         bound *= norm
     bits = -(-(bound.bit_length() + 2) // 64) * 64
-    # totals[m] / common is the coefficient of eps^-2m
+    # total / common is the eps^0 coefficient; poles is nonzero if a pole survives
     if bits * width <= PACKED_MAX_BITS:
-        mask = (1 << bits * width) - 1
-        p = _packed_rows(n, bits)
+        p, mask, offset, check = _packed_rows(n, bits)
         for k in ks:
             p = map(and_, map(mul, p, _packed_ch(n, k, bits)), repeat(mask))
-        digit, half = (1 << bits) - 1, 1 << bits - 1
-        # half added to every digit makes each one nonnegative
-        s = (sum(p) + mask // digit * half) & mask
-        totals = [(s >> bits * j & digit) - half for j in range(width - 1, -1, -2)]
+        # with the offset every digit is nonnegative, and a zero one is offset's
+        s = (sum(p) + offset) & mask
+        top = bits * (width - 1)
+        poles, total = (s ^ offset) & check, (s >> top) - (offset >> top)
     else:
         totals = [0] * width
         for (_, inv, factor), *row in zip(rows, *(lists for lists, _ in chs)):
@@ -351,14 +355,15 @@ def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
             # goes to totals[m]
             for m, j in enumerate(range(len(inv) - 1, -1, -2)):
                 totals[m] += factor * sum(map(mul, c[:j + 1], inv[j::-1]))
-    if any(totals[1:]):
+        poles, total = any(totals[1:]), totals[0]
+    if poles:
         raise LocalizationError("localization sum not regular on diagonal")
-    if not totals[0]:  # no k! for a zero bracket: factorial(10**6) takes seconds
+    if not total:  # no k! for a zero bracket: factorial(10**6) takes seconds
         return Monomial(0, 0)
     scale = 1
     for k in ks:
         scale *= factorial(k)
-    return Monomial(Fraction(totals[0], common * scale), sum(ks) - 2 * n)
+    return Monomial(Fraction(total, common * scale), sum(ks) - 2 * n)
 
 
 def hilb_integral_via_limit(n: int, ks: Iterable[int] = ()) -> Monomial:

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,29 @@ def test_monomial_zero_pruning_and_predicates():
     assert Monomial(3, -2).coeff == F(3) and Monomial(3, -2).var == "t"
     with pytest.raises(ExactError):
         Monomial(0.5, 1)
+
+
+def test_monomial_constructor_contract():
+    # an exact Fraction takes the fast path; every other scalar keeps the
+    # contract: bool and int become a Fraction, a Fraction subclass is kept
+    # as given, and anything inexact or not a number is refused
+    class Half(F):
+        pass
+
+    for value, coeff in [(True, F(1)), (-7, F(-7)), (F(2, 3), F(2, 3))]:
+        m = Monomial(value, 4, "u")
+        assert type(m) is Monomial and m == (coeff, 4, "u")
+        assert type(m.coeff) is F
+    half = Half(1, 2)
+    assert Monomial(half, 1).coeff is half
+    for value in (0.5, 1.0, Decimal("0.5"), "1/2"):
+        with pytest.raises(ExactError):
+            Monomial(value, 1)
+    # a zero coefficient forces exp = 0 in either variable, whatever its type
+    for var in ("t", "u"):
+        for zero in (0, False, F(0), Half(0)):
+            assert Monomial(zero, 5, var) == (F(0), 0, var)
+            assert Monomial(zero, -3, var).exp == 0
 
 
 def test_monomial_rendering_is_canonical():

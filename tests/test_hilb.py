@@ -166,6 +166,33 @@ def test_regularity_check_fires_on_a_missing_fixed_point(monkeypatch, hilb_cache
         hilb_integral(4, [2])
 
 
+def test_regularity_check_fires_on_every_pole_digit(monkeypatch, hilb_caches):
+    # a planted row with inv = (1, 0, ..., 0) through eps^pole adds
+    # eps^-pole to the empty bracket and nothing else.  The tables of
+    # n = 6 and 7 have width 4 and that of n = 8 width 5, so both the
+    # eps^-2 and the eps^-4 digits of the packed check are reached; the
+    # list path must refuse the same rows
+    full = hilb._fixed_points
+
+    def planted(pole):
+        def table(n):
+            rows, common, width, norm = full(n)
+            return rows + (((n,), (1,) + (0,) * pole, 1),), common, width, norm + 1
+        return table
+
+    for limit, packed in [(hilb.PACKED_MAX_BITS, True), (0, False)]:
+        monkeypatch.setattr(hilb, "PACKED_MAX_BITS", limit)
+        for n, width in [(6, 4), (7, 4), (8, 5)]:
+            for pole in range(2, width, 2):
+                for cache in hilb_caches:
+                    cache.cache_clear()
+                monkeypatch.setattr(hilb, "_fixed_points", planted(pole))
+                assert hilb._fixed_points(n)[2] == width
+                with pytest.raises(LocalizationError):
+                    hilb_integral(n)
+                assert (hilb._packed_rows.cache_info().currsize == 1) == packed
+
+
 def test_bracket_grid_digest():
     # sha256 of 114 brackets as printed by the Fraction-summing kernel that
     # preceded the shared-denominator sum; guards n <= 20, where the

@@ -11,8 +11,8 @@ runs the catcher there, one process at a time.
 Exits 1 when an ``old`` does not occur exactly once in its file, when a
 catcher fails on the unedited copy, when an edit's catcher passes, or when
 any catcher fails on an ``EQUIVALENT`` edit (the edit is caught after all,
-so it belongs in ``EDITS``); exits 0 otherwise.  Takes about a minute on
-2 vCPUs.  Run from the root of a checkout:
+so it belongs in ``EDITS``); exits 0 otherwise.  Takes about a minute and
+a half on 2 vCPUs.  Run from the root of a checkout:
 
     python tools/mutants.py
 """
@@ -37,23 +37,42 @@ CATCHERS = {
 
 HILB = "src/hilbwall/hilb.py"
 CLI = "src/hilbwall/cli.py"
+EXACT = "src/hilbwall/exact.py"
+IFUN = "src/hilbwall/ifun.py"
 EDITS = [
     # the packed base about one word too narrow for the bound
     (HILB, "bits = -(-(bound.bit_length() + 2) // 64) * 64",
      "bits = -(-(bound.bit_length() - 60) // 64) * 64", "verify"),
-    # the eps^0 digit of an odd-width table left out of totals
-    (HILB, "for j in range(width - 1, -1, -2)]",
-     "for j in range(width - 1, 0, -2)]", "verify"),
+    # the eps^0 coefficient read one digit low, from the eps^-1 digit (and
+    # from a negative shift at width 1)
+    (HILB, "top = bits * (width - 1)", "top = bits * (width - 2)", "verify"),
     # the first insertion's norm left out of the bound
     (HILB, "    for _, norm in chs:", "    for _, norm in chs[1:]:", "verify"),
     # the rank factor n applied only for two or more ch_0
-    (HILB, "if zeros else value", "if zeros > 1 else value", "verify"),
+    (HILB, "if zeros else v", "if zeros > 1 else v", "verify"),
     # the ch lists cut one power of eps short
     (HILB, "ch = [0] * (min(k, len(inv) - 1) + 1)",
      "ch = [0] * min(k, len(inv) - 1)", "verify"),
-    # a pole of eps^-2 let through: no regular bracket has one, so only the
-    # planted-fault tests see it
-    (HILB, "if any(totals[1:]):", "if any(totals[2:]):", "tier1"),
+    # a pole of eps^-2 let through on the list path: no regular bracket has
+    # one, so only the planted-fault tests see it
+    (HILB, "any(totals[1:])", "any(totals[2:])", "tier1"),
+    # the same on the packed path: the check leaves out the eps^-2 digit
+    (HILB, "for j in range(width - 3, -1, -2)", "for j in range(width - 5, -1, -2)",
+     "tier1"),
+    # the check leaves out its lowest digit, eps^-4 at width 5: only the
+    # planted rows at n = 8 reach it
+    (HILB, "for j in range(width - 3, -1, -2)", "for j in range(width - 3, 0, -2)",
+     "tier1"),
+    # the rank factor n applied once too few times
+    (HILB, "Fraction(c.numerator * n ** zeros, c.denominator)",
+     "Fraction(c.numerator * n ** (zeros - 1), c.denominator)", "verify"),
+    # a zero monomial keeps its degree, so zeros of two degrees differ
+    (EXACT, "exp if coeff else 0", "exp", "verify"),
+    # an int coefficient kept as an int: it equals its Fraction, so only
+    # Tier-1's type checks see it
+    (EXACT, "coeff = Fraction(coeff)", "coeff = coeff", "tier1"),
+    # the one-end contribution u^0 counted as polar
+    (IFUN, "if exp >= 0 else 0", "if exp > 0 else 0", "verify"),
     # the other member of each transpose pair kept: its row at -eps has the
     # same even part, so no value changes, only the rows the tests pin
     (HILB, "if parts >= conjugate(parts)]", "if parts <= conjugate(parts)]", "tier1"),
@@ -72,7 +91,8 @@ EQUIVALENT = {
     (HILB, "digit, half = (1 << bits) - 1, 1 << bits - 1",
      "digit, half = (1 << bits) - 1, 1 << bits - 2"):
         "bits keeps two bits above the bound (bit_length() + 2), so every digit "
-        "lies below 2^(bits - 2) and a smaller offset still makes it nonnegative",
+        "lies below 2^(bits - 2): an offset of 2^(bits - 2) still makes each digit "
+        "nonnegative, and the pole check and the top read both use the offset itself",
 }
 
 
