@@ -65,8 +65,9 @@ n, a factor :func:`hilb_integral` takes out before the memo.
 
 The only caches are these tables, one per n and one per (n, k), each
 carrying its norm, the packed rows per (n, bits) and packed ch lists per
-(n, k, bits), all kept for the life of the process, and the last
-BRACKET_CACHE_SIZE brackets; weight data is recomputed when asked for.
+(n, k, bits), and the brackets, all kept for the life of the process; a
+bracket at n <= 8 costs about 0.3 kB.  Weight data is recomputed when
+asked for.
 bits is a multiple of 64, so few packed tables exist.  A table has (p(n)
 + sc(n)) / 2 rows, sc(n) the self-conjugate partitions; a cold ch_2
 bracket at n = 40 runs the lists and peaks at 57 MB resident (CPython
@@ -289,8 +290,6 @@ def _packed_ch(n: int, k: int, bits: int) -> tuple[int, ...]:
     return tuple(_pack(ch, bits) for ch in _ch_eps(n, k)[0])
 
 
-BRACKET_CACHE_SIZE = 256
-
 # The largest bits * width that _bracket packs.  Warm brackets on both
 # paths, n = 4..24 times 14 insertion shapes up to four indices <= 20
 # (best of 14, CPython 3.11, 2 vCPUs), packed/list time: every one of the
@@ -305,9 +304,9 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
     plane, equivariant for the diagonal torus, as the monomial C * t^(K-2n).
 
     The empty insertion list gives 1/(n! t^(2n)).  A non-integer n or
-    index raises TypeError, whatever the caches hold.  The last
-    BRACKET_CACHE_SIZE brackets are memoized; a Monomial is immutable, so
-    callers may share the returned value.
+    index raises TypeError, whatever the caches hold.  Every bracket is
+    memoized for the life of the process, once for all its ch_0 pads; a
+    Monomial is immutable, so callers may share the returned value.
     """
     # index() rejects 3.0, which would otherwise hit a cached (3, ...) bracket
     n = index(n)
@@ -322,7 +321,7 @@ def hilb_integral(n: int, ks: Iterable[int] = ()) -> Monomial:
     return Monomial(Fraction(c.numerator * n ** zeros, c.denominator), v.exp) if zeros else v
 
 
-@lru_cache(maxsize=BRACKET_CACHE_SIZE)
+@lru_cache(maxsize=None)
 def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
     rows, common, width, bound = _fixed_points(n)
     # Each coefficient of the row sum S = sum_r factor_r * eps^(width -

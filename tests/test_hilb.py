@@ -220,8 +220,48 @@ def test_bracket_memo_runs_the_kernel_once():
     value = hilb_integral(5, [2, 4])
     info = hilb._bracket.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    assert info.maxsize == hilb.BRACKET_CACHE_SIZE
+    assert info.maxsize is None
     assert value == hilb_integral_via_limit(5, [2, 4])
+
+
+def test_bracket_memo_never_evicts():
+    # more distinct brackets than a bound of 256 would keep, then the first
+    # again: it is still a hit
+    hilb._bracket.cache_clear()
+    grid = [(n, ks) for n in range(1, 9) for ks in combinations_with_replacement(range(1, 9), 3)]
+    assert len(grid) > 256
+    for n, ks in grid:
+        hilb_integral(n, ks)
+    misses = hilb._bracket.cache_info().misses
+    assert misses == len(grid)
+    hilb_integral(*grid[0])
+    assert hilb._bracket.cache_info().misses == misses
+
+
+def test_bracket_memo_size_and_bytes_on_the_benchmark_grid():
+    import tracemalloc
+
+    # every bracket of the bracket_batch grid (n <= 8, up to four indices
+    # <= 8): the memo keys them without their ch_0, so 8 * 495 entries
+    grid = [(n, ks) for n in range(1, 9) for m in range(5)
+            for ks in combinations_with_replacement(range(1, 9), m)]
+    hilb._bracket.cache_clear()
+    for n, ks in grid:
+        hilb_integral(n, ks)
+        hilb_integral(n, ks + (0,) * (1 + len(ks) % 2))
+    assert hilb._bracket.cache_info().currsize == len(grid) == 3960
+    # with the tables warm, what the memo keeps per entry: 251 B measured
+    # (CPython 3.11), key, dict slot, Monomial and Fraction
+    hilb._bracket.cache_clear()
+    tracemalloc.start()
+    try:
+        for n, ks in grid:
+            hilb_integral(n, ks)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hilb._bracket.cache_info().currsize == len(grid)
+    assert kept <= 288 * len(grid)
 
 
 def test_input_validation():

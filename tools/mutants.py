@@ -1,7 +1,8 @@
 """Mutation sweep: plausible one-line bugs in src/ that a check must catch.
 
 Each entry of ``EDITS`` is ``(file, old, new, catcher)``: a one-line edit
-of a file under src/hilbwall and the first check that must fail on it,
+of a file under src/hilbwall (``old`` reaches into the next line where
+the line alone is not unique) and the first check that must fail on it,
 one of ``CATCHERS``: the ``verify`` command, ``tools/differential.py`` or
 the Tier-1 suite.  ``EQUIVALENT`` holds edits that change no result, each
 with its reason.  The sweep copies src/, tests/, tools/ and pyproject.toml
@@ -11,8 +12,8 @@ runs the catcher there, one process at a time.
 Exits 1 when an ``old`` does not occur exactly once in its file, when a
 catcher fails on the unedited copy, when an edit's catcher passes, or when
 any catcher fails on an ``EQUIVALENT`` edit (the edit is caught after all,
-so it belongs in ``EDITS``); exits 0 otherwise.  Takes about a minute and
-a half on 2 vCPUs.  Run from the root of a checkout:
+so it belongs in ``EDITS``); exits 0 otherwise.  Takes a little over two
+minutes on 2 vCPUs.  Run from the root of a checkout:
 
     python tools/mutants.py
 """
@@ -39,6 +40,9 @@ HILB = "src/hilbwall/hilb.py"
 CLI = "src/hilbwall/cli.py"
 EXACT = "src/hilbwall/exact.py"
 IFUN = "src/hilbwall/ifun.py"
+WALLX = "src/hilbwall/wallx.py"
+FMCALC = "src/hilbwall/fmcalc.py"
+VERIFY = "src/hilbwall/verify.py"
 EDITS = [
     # the packed base about one word too narrow for the bound
     (HILB, "bits = -(-(bound.bit_length() + 2) // 64) * 64",
@@ -79,6 +83,27 @@ EDITS = [
     # every table packed: no value changes, only the path the tests pin
     (HILB, "if bits * width <= PACKED_MAX_BITS:", "if bits * width <= 10**9:",
      "tier1"),
+    # a memo that keeps nothing: every value stays right, so only the
+    # tests of the memo see it (the decorator alone is not unique)
+    (HILB, "maxsize=None)\ndef _bracket", "maxsize=0)\ndef _bracket", "tier1"),
+    # the wall-crossing sum stopped at the first C(c, k) that is not
+    # positive, which at c < 0 is the first one
+    (WALLX, "if binom == 0:", "if binom <= 0:", "verify"),
+    # the last tree locus left out of each ch_k seed's sum
+    (WALLX, "range(max(2, (a + 4) // 2), q_order - n + 2)",
+     "range(max(2, (a + 4) // 2), q_order - n + 1)", "verify"),
+    # the tree-locus sign read from floor(a/2) instead of ceil(a/2)
+    (FMCALC, "(-1) ** ((a + 1) // 2)", "(-1) ** (a // 2)", "verify"),
+    # each dilaton factor c_d - m taken as c_d - m - 1
+    (FMCALC, "lower - m * same", "lower - (m + 1) * same", "verify"),
+    # the Euler checks compare two series that are equally short: only the
+    # planted truncation sees it
+    (VERIFY, "if len(wc) != 21 or len(closed) != 21:", "if len(wc) != len(closed):",
+     "tier1"),
+    # the full-crossing terms compared as sets only: a repeated term passes,
+    # and only the planted repeat sees it (the comparison alone is not unique)
+    (VERIFY, "_full_terms_recursive(n, m)\n            if len(terms) != len(want) or ",
+     "_full_terms_recursive(n, m)\n            if ", "tier1"),
     # JSON indented by one space a level: the byte-stable digests
     (CLI, 'inner = indent + "  "', 'inner = indent + " "', "tier1"),
     # True written as Python's True in an int line: the renderer test's [1, True]
