@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 
 from .exact import ExactError, Monomial
 from .fmcalc import reduce_pure_tilde, tn_integral
-from .hilb import (FixedPointData, LocalizationError, ch_value,
-                   enumerate_partitions, fixed_point_data, hilb_integral,
-                   hilb_integral_via_limit, tangent_weights, taut_weights)
+from .hilb import (FixedPointData, LocalizationError, enumerate_partitions,
+                   fixed_point_data, hilb_integral, tangent_weights, taut_weights)
 from .ifun import nonpolar_ifunction
 from .wallx import (ch_series, euler_series_closed, euler_series_wc,
                     expand_full_crossing, expand_wall_terms)
@@ -22,9 +21,9 @@ __all__ = [
     "__version__",
     "ExactError", "Monomial",
     "reduce_pure_tilde", "tn_integral",
-    "FixedPointData", "LocalizationError", "ch_value",
+    "FixedPointData", "LocalizationError",
     "enumerate_partitions", "fixed_point_data", "hilb_integral",
-    "hilb_integral_via_limit", "tangent_weights", "taut_weights",
+    "tangent_weights", "taut_weights",
     "nonpolar_ifunction",
     "ch_series", "euler_series_closed", "euler_series_wc",
     "expand_full_crossing", "expand_wall_terms",

@@ -73,11 +73,8 @@ bits is a multiple of 64, so few packed tables exist.  A table has (p(n)
 bracket at n = 40 runs the lists and peaks at 57 MB resident (CPython
 3.11).
 
-The rational-limit cross-check :func:`hilb_integral_via_limit` works on the
-full torus instead and reaches the diagonal along a line of its own.  It
-keeps each polynomial in (t1, t2) as a plain map ``(e1, e2) ->
-coefficient``, the form :func:`ch_value` returns, and shares no arithmetic
-with the kernel.
+:func:`hilbwall.verify.offdiagonal_bracket` checks the kernel off the
+diagonal; it reads only the partitions and the weight lists from here.
 """
 
 from __future__ import annotations
@@ -161,26 +158,6 @@ FixedPointData = namedtuple("FixedPointData", "tangent taut")
 
 def fixed_point_data(lam: tuple[int, ...]) -> FixedPointData:
     return FixedPointData(tuple(tangent_weights(lam)), tuple(taut_weights(lam)))
-
-
-def ch_value(lam: tuple[int, ...], k: int) -> dict[tuple[int, int], Fraction]:
-    """Chern character component ch_k of the tautological bundle at ``lam``,
-    as the map ``(e1, e2) -> coefficient of t1^e1 t2^e2`` of its nonzero
-    coefficients.
-
-    Equals sum over boxes of (-(c*t1 + r*t2))^k / k!, with the dual sign
-    because the fiber consists of functions.  ch_0 is the constant n.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    total: dict[tuple[int, int], int] = {}
-    for (i, j) in taut_weights(lam):
-        # (-(i*t1 + j*t2))^k expanded by the binomial theorem, times k!
-        for a in range(k + 1):
-            key = (a, k - a)
-            total[key] = total.get(key, 0) + (-1) ** k * comb(k, a) * i ** a * j ** (k - a)
-    kfac = factorial(k)
-    return {e: Fraction(c, kfac) for e, c in total.items() if c}
 
 
 def _inverse_euler(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -364,65 +341,3 @@ def _bracket(n: int, ks: tuple[int, ...]) -> Monomial:
         scale *= factorial(k)
     return Monomial(Fraction(total, common * scale), sum(ks) - 2 * n)
 
-
-def hilb_integral_via_limit(n: int, ks: Iterable[int] = ()) -> Monomial:
-    """Cross-check path for :func:`hilb_integral`, avoiding eps-series entirely.
-
-    Collects the full-torus sum of ch-products over tangent Euler classes as
-    a single fraction of polynomials in (t1, t2), each a map
-    ``(e1, e2) -> coefficient``, expands numerator and denominator around
-    the diagonal t2 = t1 - delta, cancels the leading power of delta, and
-    evaluates at delta = 0.  That line is not the kernel's t1 = t - eps,
-    t2 = t + eps, so the two paths share no substitution.  Slow (the common
-    denominator is the product of all fixed-point Euler classes) but
-    structurally independent of the factor-by-factor inversion.  The
-    exponent of the result is the quotient of the leading t-powers, not
-    K - 2n, so comparing with the kernel checks the degree too.
-    """
-    def mul(p: dict, q: dict) -> dict:
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, a2), c1 in p.items():
-            for (b1, b2), c2 in q.items():
-                key = (a1 + b1, a2 + b2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return {e: c for e, c in out.items() if c}
-
-    def near_diagonal(p: dict) -> dict[int, dict[int, Fraction]]:
-        """p at t1 = t, t2 = t - delta as {delta power: {t power: coeff}},
-        without zero coefficients or empty rows."""
-        rows: dict[int, dict[int, Fraction]] = {}
-        for (e1, e2), c in p.items():
-            for j in range(e2 + 1):
-                row = rows.setdefault(j, {})
-                row[e1 + e2 - j] = row.get(e1 + e2 - j, 0) + c * comb(e2, j) * (-1) ** j
-        rows = {j: {e: c for e, c in row.items() if c} for j, row in rows.items()}
-        return {j: row for j, row in rows.items() if row}
-
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ks = tuple(ks)
-    num: dict[tuple[int, int], Fraction] = {}
-    den = {(0, 0): 1}
-    for lam in enumerate_partitions(n):
-        nl = {(0, 0): 1}
-        for k in ks:
-            nl = mul(nl, ch_value(lam, k))
-        dl = {(0, 0): 1}
-        for (a, b) in tangent_weights(lam):
-            dl = mul(dl, {(1, 0): a, (0, 1): b})
-        num = mul(num, dl)
-        for e, c in mul(nl, den).items():
-            num[e] = num.get(e, 0) + c
-        den = mul(den, dl)
-    num_d = near_diagonal(num)
-    den_d = near_diagonal(den)
-    v = min(den_d)
-    if any(j < v for j in num_d):
-        raise LocalizationError("localization sum not regular on diagonal")
-    lead_num, lead_den = num_d.get(v, {}), den_d[v]
-    if len(lead_den) != 1 or len(lead_num) > 1:
-        raise LocalizationError("leading diagonal coefficient is not a monomial")
-    (e, c), = lead_den.items()
-    for e1, c1 in lead_num.items():
-        return Monomial(Fraction(c1, c), e1 - e)
-    return Monomial(0, 0)

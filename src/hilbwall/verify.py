@@ -2,24 +2,30 @@
 one pass/fail check each.
 
 Checks compare against independent closed forms or brute-force recounts,
-never against the code path under test: bracket values against their
-factorial closed forms, the assembled ch_k series against both the direct
-localization values and frozen generating-series shapes, the tree-locus
-integrals against their Pascal-style recursion, the dilaton rewrite against
-integer binomials, and the combinatorial expanders against recursive
-enumeration.  Everything is exact; a check fails only on a true mismatch.
+never against the code path under test: brackets against their factorial
+closed forms and the off-diagonal sum :func:`offdiagonal_bracket`, the ch_k
+series against both the direct localization values and frozen
+generating-series shapes, the tree-locus integrals against their
+Pascal-style recursion, the dilaton rewrite against integer binomials, and
+the combinatorial expanders against recursive enumeration.  Everything is
+exact; a check fails only on a true mismatch.
+
+The off-diagonal sum rests on a claim argued from the Hilbert-Chow map to
+Sym^n(C^2), which is proper, and not proven here: n! (t1 t2)^n times a
+bracket of total ch degree K is a homogeneous polynomial of degree K.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, factorial
-from typing import Callable
+from math import comb, factorial, lcm, prod
+from typing import Callable, Iterable
 
 from .exact import Monomial
 from .fmcalc import reduce_pure_tilde, tn_integral
-from .hilb import conjugate, enumerate_partitions, fixed_point_data, hilb_integral
+from .hilb import (LocalizationError, conjugate, enumerate_partitions, fixed_point_data,
+                   hilb_integral, tangent_weights, taut_weights)
 from .ifun import nonpolar_ifunction
 from .wallx import (ch_series, euler_series_closed, euler_series_wc,
                     expand_full_crossing, expand_wall_terms)
@@ -48,6 +54,38 @@ def golden_ch_series(k: int, order: int) -> list[Monomial]:
     factor = _CH_SERIES_FACTORS[k]
     return [Monomial(sum(c / factorial(n - j) for j, c in factor.items() if j <= n), k - 2 * n)
             for n in range(order + 1)]
+
+
+def offdiagonal_bracket(n: int, ks: Iterable[int] = ()) -> Monomial:
+    """<prod_i ch_{k_i}>_n as C * t^(K - 2n), K = sum(ks), from the full-torus
+    sum at t1 = 1, t2 = M = n+1 .. n+K+2, where no tangent weight vanishes.
+    Raises LocalizationError unless P = n! (t1 t2)^n <prod ch_k>_n has a zero
+    (K+1)-th forward difference over those M (the degree claim) and P(2,
+    2(n+1)) = 2^K P(1, n+1), which holds term by term and guards the
+    evaluation.  C is P(1, 1) / n! by Newton's forward formula."""
+    ks = tuple(ks)
+    if n < 1 or any(k < 0 for k in ks):
+        raise ValueError("n must be >= 1 and ch indices nonnegative")
+    points = [(tangent_weights(lam), taut_weights(lam)) for lam in enumerate_partitions(n)]
+
+    def p(t1: int, t2: int) -> Fraction:  # P * prod k! / n!
+        dens = [prod(a * t1 + b * t2 for a, b in tangent) for tangent, _ in points]
+        common = lcm(*dens)
+        return Fraction((t1 * t2) ** n * sum(
+            prod(sum((-(c * t1 + r * t2)) ** k for c, r in taut) for k in ks) * (common // d)
+            for (_, taut), d in zip(points, dens)), common)
+
+    big, start = sum(ks), n + 1
+    values = [p(1, m) for m in range(start, start + big + 2)]
+    diffs = [sum((-1) ** (j - i) * comb(j, i) * v for i, v in enumerate(values[:j + 1]))
+             for j in range(len(values))]  # forward differences at M = start
+    if diffs[-1]:
+        raise LocalizationError("off-diagonal sum has degree above K")
+    if p(2, 2 * start) != 2 ** big * diffs[0]:
+        raise LocalizationError("off-diagonal sum is not homogeneous of degree K")
+    # P(1, start + x) at x = -n, with C(-n, j) = (-1)^j C(n + j - 1, j)
+    value = sum((-1) ** j * comb(n + j - 1, j) * d for j, d in enumerate(diffs))
+    return Monomial(value / prod(map(factorial, ks)), big - 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +242,14 @@ def check_property_suites() -> tuple[bool, str]:
     for ks in grid:
         for n in range(1, 7):
             value = hilb_integral(n, ks)
-            if not value.is_zero():
-                if value.exp != sum(ks) - 2 * n:
-                    return False, f"degree violation at n={n}, ks={ks}"
+            if not value.is_zero() and value.exp != sum(ks) - 2 * n:
+                return False, f"degree violation at n={n}, ks={ks}"
+            if len(ks) <= 2:
+                try:
+                    if offdiagonal_bracket(n, ks) != value:
+                        return False, f"off-diagonal value differs at n={n}, ks={ks}"
+                except LocalizationError as err:
+                    return False, f"{err} at n={n}, ks={ks}"
     for n in range(1, 9):
         for lam in enumerate_partitions(n):
             data = fixed_point_data(lam)
@@ -218,7 +261,8 @@ def check_property_suites() -> tuple[bool, str]:
             if swap != sorted(conj.taut):
                 return False, f"tautological transpose symmetry fails at {lam}"
     return True, (f"homogeneity + regularity on all {len(grid)} multisets of at most 3 ch "
-                  "indices in 0..8 (n <= 6); transpose symmetry (n <= 8)")
+                  f"indices in 0..8 (n <= 6), the {sum(len(ks) <= 2 for ks in grid)} of at most 2 "
+                  "equal to their degree-K sum off the diagonal; transpose symmetry (n <= 8)")
 
 
 def _sum_bounded_partitions(total: int) -> list[tuple[int, ...]]:

@@ -7,12 +7,11 @@ import pytest
 
 from hilbwall import hilb
 from hilbwall.exact import Monomial
-from hilbwall.hilb import (LocalizationError, ch_value, conjugate,
-                           enumerate_partitions, fixed_point_data,
-                           hilb_integral, hilb_integral_via_limit,
-                           tangent_weights, taut_weights)
+from hilbwall.hilb import (LocalizationError, conjugate, enumerate_partitions,
+                           fixed_point_data, hilb_integral, tangent_weights,
+                           taut_weights)
 from hilbwall.ifun import nonpolar_ifunction
-from hilbwall.verify import _sum_bounded_partitions
+from hilbwall.verify import _sum_bounded_partitions, offdiagonal_bracket
 
 
 def mono(exp, coeff):
@@ -110,19 +109,6 @@ def test_taut_weights_examples():
             assert weights.count((0, 0)) == 1
 
 
-# --- Chern character values ----------------------------------------------------
-
-def test_ch_value_examples():
-    assert ch_value((1,), 2) == {}
-    assert ch_value((2,), 2) == {(2, 0): F(1, 2)}
-    # dual weights: the fiber is spanned by functions, so ch_1 of the row
-    # partition (2) is -t1 (see the hilb module docstring)
-    assert ch_value((2,), 1) == {(1, 0): -1}
-    for n in range(1, 6):
-        for lam in enumerate_partitions(n):
-            assert ch_value(lam, 0) == {(0, 0): n}
-
-
 # --- localization anchors ------------------------------------------------------
 
 def test_higher_ch_anchor_values():
@@ -132,15 +118,15 @@ def test_higher_ch_anchor_values():
     assert hilb_integral(3, [6]) == mono(0, F(77, 4320))
 
 
-def test_limit_oracle_on_every_small_bracket():
+def test_offdiagonal_oracle_on_every_small_bracket():
     brackets = [(n, ks) for n in range(1, 5) for ks in _sum_bounded_partitions(6)]
     # ch_0 pads, which the kernel reads as the rank n and the oracle sums
-    # as ch_value(lam, 0) at every fixed point
+    # as the box count at every fixed point
     brackets += [(n, ks + (0,) * pads) for n in range(1, 5)
                  for ks in _sum_bounded_partitions(4) for pads in (1, 2)]
     assert len(brackets) == 120 + 96
     for n, ks in brackets:
-        assert hilb_integral(n, ks) == hilb_integral_via_limit(n, ks), (n, ks)
+        assert hilb_integral(n, ks) == offdiagonal_bracket(n, ks), (n, ks)
 
 
 @pytest.fixture
@@ -195,8 +181,8 @@ def test_regularity_check_fires_on_every_pole_digit(monkeypatch, hilb_caches):
 
 def test_bracket_grid_digest():
     # sha256 of 114 brackets as printed by the Fraction-summing kernel that
-    # preceded the shared-denominator sum; guards n <= 20, where the
-    # via-limit oracle is too slow to compare against
+    # preceded the shared-denominator sum; guards n <= 20, above the n <= 5
+    # where the tests compare with the off-diagonal sum
     shapes = [(), (2,), (4, 0), (3, 3), (2, 2, 2), (6,), (8, 1), (5, 4, 0, 0)]
     grid = [(n, ks) for n in range(1, 15) for ks in shapes] + [(18, (4,)), (20, (4,))]
     text = "\n".join(str(hilb_integral(n, ks)) for n, ks in grid)
@@ -221,7 +207,7 @@ def test_bracket_memo_runs_the_kernel_once():
     info = hilb._bracket.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert info.maxsize is None
-    assert value == hilb_integral_via_limit(5, [2, 4])
+    assert value == offdiagonal_bracket(5, [2, 4])
 
 
 def test_bracket_memo_never_evicts():
@@ -272,9 +258,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         hilb_integral(2, [-1])
     with pytest.raises(ValueError):
-        ch_value((2,), -1)
-    with pytest.raises(ValueError):
-        hilb_integral_via_limit(2, [-1])
+        offdiagonal_bracket(2, [-1])
 
 
 def test_zero_bracket_forms_no_factorials(monkeypatch, hilb_caches):
@@ -504,12 +488,12 @@ def test_insertions_are_a_multiset():
     assert hilb_integral(4, [2, 0, 4]) == hilb_integral(4, [4, 2, 0])
 
 
-def test_limit_oracle_at_n5():
-    assert hilb_integral(5, [2, 2]) == hilb_integral_via_limit(5, [2, 2])
-    assert hilb_integral(5, [6]) == hilb_integral_via_limit(5, [6])
-    assert hilb_integral(5, [4]) == hilb_integral_via_limit(5, [4])
-    assert hilb_integral(5, [2, 3]) == hilb_integral_via_limit(5, [2, 3])
+def test_offdiagonal_oracle_at_n5():
+    assert hilb_integral(5, [2, 2]) == offdiagonal_bracket(5, [2, 2])
+    assert hilb_integral(5, [6]) == offdiagonal_bracket(5, [6])
+    assert hilb_integral(5, [4]) == offdiagonal_bracket(5, [4])
+    assert hilb_integral(5, [2, 3]) == offdiagonal_bracket(5, [2, 3])
     # any iterable, in any order: a one-shot iterator must serve every
-    # fixed point
-    assert hilb_integral_via_limit(3, iter([3, 2])) == hilb_integral(3, [2, 3])
+    # fixed point and every evaluation point
+    assert offdiagonal_bracket(3, iter([3, 2])) == hilb_integral(3, [2, 3])
     assert hilb_integral(5, [6]) == mono(-4, F(1, 120))

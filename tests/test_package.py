@@ -1,8 +1,8 @@
 """Package-level guards: the public export list, the modules a cold CLI
 import leaves out, the frozen closed forms of the ch_k series, and the
 verify checks that must compare their series at the order they ask for,
-see a wrong base, a wrong coefficient or a repeated term, and see one
-wrong value at the top of their ranges."""
+see a wrong base, a wrong coefficient, a repeated term or a wrong tangent
+weight, and see one wrong value at the top of their ranges."""
 
 import hashlib
 import os
@@ -15,6 +15,7 @@ import pytest
 import hilbwall
 from hilbwall import verify, wallx
 from hilbwall.exact import Monomial
+from hilbwall.hilb import LocalizationError
 from hilbwall.wallx import (ch_series, euler_series_closed, euler_series_wc,
                             expand_full_crossing, expand_wall_terms)
 
@@ -103,13 +104,17 @@ TOP_OF_RANGE_FAULTS = [
      "square-removal recursion fails at (10,16,1)"),
     (verify.check_property_suites, "hilb_integral", (6, (8, 8, 8)),
      lambda v: Monomial(v.coeff, v.exp + 1), "degree violation at n=6, ks=(8, 8, 8)"),
+    (verify.check_property_suites, "offdiagonal_bracket", (6, (8, 8)), lambda v: v + v,
+     "off-diagonal value differs at n=6, ks=(8, 8)"),
     (verify.check_ifunction_threshold, "nonpolar_ifunction", (6, (4, 4)),
      lambda v: Monomial(1, -2, "u"), "threshold fails at n=6, ks=(4, 4)"),
 ]
 
 
 @pytest.mark.parametrize("check, name, at, fault, detail", TOP_OF_RANGE_FAULTS,
-                         ids=[row[0].__name__ for row in TOP_OF_RANGE_FAULTS])
+                         ids=[check.__name__ + ("_offdiagonal" if name == "offdiagonal_bracket"
+                                                else "")
+                              for check, name, *_ in TOP_OF_RANGE_FAULTS])
 def test_check_fails_on_one_wrong_value_at_the_top_of_its_range(
         monkeypatch, check, name, at, fault, detail):
     right = getattr(verify, name)
@@ -119,6 +124,42 @@ def test_check_fails_on_one_wrong_value_at_the_top_of_its_range(
         return fault(value) if args == at else value
     monkeypatch.setattr(verify, name, planted)
     assert check() == (False, detail)
+
+
+def test_property_check_fails_on_its_degree_claim_for_a_shifted_weight(monkeypatch):
+    # the first weight (a + 1, -l) of each fixed point shifted by -t2, only
+    # where the off-diagonal sum reads the weights: the kernel and the
+    # transpose half still see the right ones.  No shifted weight vanishes
+    # at the sum's points, and the sum stops being a polynomial
+    right = verify.tangent_weights
+
+    def shifted(lam):
+        (a, b), *rest = right(lam)
+        return [(a, b - 1), *rest]
+    monkeypatch.setattr(verify, "tangent_weights", shifted)
+    assert verify.check_property_suites() == (
+        False, "off-diagonal sum has degree above K at n=1, ks=()")
+    for n in range(2, 7):
+        for ks in [(), (2,), (3, 4), (0, 8)]:
+            with pytest.raises(LocalizationError, match="degree above K"):
+                verify.offdiagonal_bracket(n, ks)
+
+
+def test_offdiagonal_degree_claim_refuses_degree_k_plus_one(monkeypatch):
+    # the weight t2 of one corner box left out at every fixed point: the sum
+    # becomes t2 times the right one, which at t1 = 1 is M times a constant
+    # for these brackets, of degree K + 1 = 1.  The degree claim must refuse
+    # it before the homogeneity test does
+    right = verify.tangent_weights
+
+    def dropped(lam):
+        weights = right(lam)
+        weights.remove((0, 1))
+        return weights
+    monkeypatch.setattr(verify, "tangent_weights", dropped)
+    for n, ks in [(1, ()), (4, ()), (6, (0, 0))]:
+        with pytest.raises(LocalizationError, match="degree above K"):
+            verify.offdiagonal_bracket(n, ks)
 
 
 def test_ch_series_check_compares_k2_to_q200(monkeypatch):

@@ -12,8 +12,9 @@ runs the catcher there, one process at a time.
 Exits 1 when an ``old`` does not occur exactly once in its file, when a
 catcher fails on the unedited copy, when an edit's catcher passes, or when
 any catcher fails on an ``EQUIVALENT`` edit (the edit is caught after all,
-so it belongs in ``EDITS``); exits 0 otherwise.  Takes a little over two
-minutes on 2 vCPUs.  Run from the root of a checkout:
+so it belongs in ``EDITS``); exits 0 otherwise.  Takes about two and a
+half minutes on 2 vCPUs (2 min 27 s for 26 edits).  Run from the root of a
+checkout:
 
     python tools/mutants.py
 """
@@ -104,6 +105,15 @@ EDITS = [
     # and only the planted repeat sees it (the comparison alone is not unique)
     (VERIFY, "_full_terms_recursive(n, m)\n            if len(terms) != len(want) or ",
      "_full_terms_recursive(n, m)\n            if ", "tier1"),
+    # the off-diagonal sum sampled at one more point and its degree test
+    # reading the (K+2)-th difference: only a sum of degree K + 1 in M,
+    # which the homogeneity test refuses with another message, passes it
+    (VERIFY, "range(start, start + big + 2)", "range(start, start + big + 3)", "tier1"),
+    # the homogeneity test of the off-diagonal sum scaled by 2^(K+1)
+    (VERIFY, "2 ** big * diffs[0]", "2 ** (big + 1) * diffs[0]", "verify"),
+    # arm and leg swapped in the first tangent weight of each box, which
+    # the kernel and the off-diagonal sum both read
+    (HILB, "out.append((a + 1, -l))", "out.append((l + 1, -a))", "verify"),
     # JSON indented by one space a level: the byte-stable digests
     (CLI, 'inner = indent + "  "', 'inner = indent + " "', "tier1"),
     # True written as Python's True in an int line: the renderer test's [1, True]

@@ -31,10 +31,7 @@ from hilbwall.cli import run
 
 # Code that no command reaches, kept on purpose, as "module.qualname"; a
 # class name covers all of its methods.  A new entry needs a reason.
-ORACLE = "the rational-limit oracle that the tests hold the kernel against"
 ALLOWED = {
-    "hilb.ch_value": ORACLE,
-    "hilb.hilb_integral_via_limit": ORACLE,
     "cli.main": "the console-script entry point; the sweep calls cli.run",
 }
 
