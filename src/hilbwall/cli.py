@@ -5,18 +5,22 @@ dt-check, verify.  Output is a human table by default or machine JSON with
 ``--format json``; JSON keys appear in a fixed order and all rationals are
 rendered as exact strings, so identical invocations produce byte-identical
 output.  The JSON text is json's indent-2 layout, byte-identical to
-``json.dumps(doc, indent=2, ensure_ascii=False)``: :func:`_render` lays out
+``json.dumps(doc, indent=2, ensure_ascii=False)``: :func:`_chunks` lays out
 the containers, and json renders every scalar and every empty container.
+:func:`_write` sends every output in pieces of 64 KiB, so no process holds a
+whole JSON document as one string.
 Exit codes: 0 on success, 1 when ``verify`` finds a failing check, 2 on
 flag or range errors, on an exactness or localization error, and when the
 output cannot be written; each exit 2 prints one ``error: ...`` line on
-stderr and nothing on stdout.
+stderr.  Stdout stays empty when the error comes before the output starts;
+a write that fails partway leaves a prefix there.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -70,25 +74,59 @@ def _series_table(s: list) -> str:
 _scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _render(obj, indent: str = "\n") -> str:
+def _chunks(obj, indent: str = "\n", lead: str = ""):
     """obj, of string-keyed dicts, lists, tuples and scalars, as
-    json.dumps(obj, indent=2, ensure_ascii=False) renders it.  With indent
-    set, json runs its pure-Python encoder, which collects one string per
-    token before it joins them, 71,411 for partitions --n 30; this builds
-    one string per container, and joins a list of exact ints in one call.
-    The items are generated into the join, so no list of them outlives it."""
+    json.dumps(obj, indent=2, ensure_ascii=False) renders it, in pieces:
+    one string per scalar and one per list of exact ints, each after lead
+    or its separator, and one per closing bracket.  With indent set, json
+    runs its pure-Python encoder, which collects one string per token,
+    71,411 for partitions --n 30, before it joins them."""
     if not obj or not isinstance(obj, (dict, list, tuple)):
-        return _scalar(obj)
+        yield lead + _scalar(obj)
+        return
     inner = indent + "  "
+    sep = "," + inner
     if isinstance(obj, dict):
-        opener, closer = "{", "}"
-        items = (_scalar(key) + ": " + _render(value, inner) for key, value in obj.items())
+        lead += "{" + inner
+        for key, value in obj.items():
+            yield from _chunks(value, inner, lead + _scalar(key) + ": ")
+            lead = sep
+        yield indent + "}"
+    # bool is an int subclass that json writes as true or false
+    elif set(map(type, obj)) == {int}:
+        yield lead + "[" + inner + sep.join(map(str, obj)) + indent + "]"
     else:
-        opener, closer = "[", "]"
-        # bool is an int subclass that json writes as true or false
-        items = (map(str, obj) if set(map(type, obj)) == {int}
-                 else (_render(value, inner) for value in obj))
-    return opener + inner + ("," + inner).join(items) + indent + closer
+        lead += "[" + inner
+        for value in obj:
+            yield from _chunks(value, inner, lead)
+            lead = sep
+        yield indent + "]"
+
+
+# the size of one write: unbuffered, as under PYTHONUNBUFFERED, each write is
+# a system call, and one write per chunk would make thousands of them
+PIECE = 1 << 16
+
+
+def _write(out, chunks) -> None:
+    """Writes the chunks and a final newline with out.write alone, in pieces
+    of PIECE characters and a shorter last one.  A reader of 32 KiB blocks,
+    as subprocess's communicate is, then reads whole blocks: pieces a few
+    characters longer gave it one short read each, and a process relaying
+    ten listings of n = 30 that way peaked 0.4 MB higher (CPython 3.11,
+    glibc malloc)."""
+    piece, size = [], 0
+    for chunk in chunks:
+        piece.append(chunk)
+        size += len(chunk)
+        if size >= PIECE:
+            text = "".join(piece)
+            for start in range(0, size - PIECE + 1, PIECE):
+                out.write(text[start:start + PIECE])
+            piece = [text[size - size % PIECE:]]
+            size %= PIECE
+    piece.append("\n")
+    out.write("".join(piece))
 
 
 def _check_range(flag: str, value: int, least: int, most: int) -> None:
@@ -105,7 +143,7 @@ def _check_range(flag: str, value: int, least: int, most: int) -> None:
 def _cmd_partitions(args):
     _check_range("--n", args.n, 0, MAX_N)
     parts = enumerate_partitions(args.n)
-    # _render writes each partition, a tuple of ints, as a json list in one
+    # _chunks writes each partition, a tuple of ints, as a json list in one
     # join; the 5,604 table lines of n = 30 are joined only for --format table
     result = {"count": len(parts), "partitions": parts}
     if args.format == "json":
@@ -283,16 +321,16 @@ def run(argv: Optional[list[str]] = None) -> int:
         if args.format == "json":
             doc = {"result": result, "query": {"command": args.command, **fields},
                    "version": __version__}
-            text = _render(doc) + "\n"
+            chunks = _chunks(doc)
         else:
-            text += "\n"
+            chunks = [text]
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write(fh, chunks)
         elif sys.stdout is None:  # started with stdout closed
             raise OSError("stdout is closed")
         else:
-            sys.stdout.write(text)
+            _write(sys.stdout, chunks)
     except (UsageError, ExactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -303,7 +341,17 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    code = run()
+    try:  # the last piece may still sit in stdout's buffer
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if code != 2:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            code = 2
+        # the exit would flush the rest again, and report it a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,13 @@ exact; a check fails only on a true mismatch.
 The off-diagonal sum rests on a claim argued from the Hilbert-Chow map to
 Sym^n(C^2), which is proper, and not proven here: n! (t1 t2)^n times a
 bracket of total ch degree K is a homogeneous polynomial of degree K.
+
+Check 10 also tests a second claim, argued the same way and not proven
+here: n! * prod_i k_i! * C is an integer, where C * t^(K - 2n) is the
+bracket on the diagonal.  k! ch_k is the k-th power sum of the Chern roots,
+an integral class; its pushforward along the Hilbert-Chow map to
+Sym^n(C^2) pulls back to (C^2)^n, so n! (t1 t2)^n prod_i k_i! times the
+bracket lies in Z[t1, t2], and at t1 = t2 = 1 it is that integer.
 """
 
 from __future__ import annotations
@@ -242,8 +249,8 @@ def check_property_suites() -> tuple[bool, str]:
     for ks in grid:
         for n in range(1, 7):
             value = hilb_integral(n, ks)
-            if not value.is_zero() and value.exp != sum(ks) - 2 * n:
-                return False, f"degree violation at n={n}, ks={ks}"
+            if (value.coeff * factorial(n) * prod(map(factorial, ks))).denominator != 1:
+                return False, f"n! prod k! C is not an integer at n={n}, ks={ks}"
             if len(ks) <= 2:
                 try:
                     if offdiagonal_bracket(n, ks) != value:
@@ -260,7 +267,7 @@ def check_property_suites() -> tuple[bool, str]:
             swap = sorted((b, a) for (a, b) in data.taut)
             if swap != sorted(conj.taut):
                 return False, f"tautological transpose symmetry fails at {lam}"
-    return True, (f"homogeneity + regularity on all {len(grid)} multisets of at most 3 ch "
+    return True, (f"integrality + regularity on all {len(grid)} multisets of at most 3 ch "
                   f"indices in 0..8 (n <= 6), the {sum(len(ks) <= 2 for ks in grid)} of at most 2 "
                   "equal to their degree-K sum off the diagonal; transpose symmetry (n <= 8)")
 
@@ -359,7 +366,7 @@ ALL_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("MacMahon identity (dimension 3)", check_dt_identity),
     ("dilaton closure of pure tilde brackets", check_dilaton_closure),
     ("tree-locus integral calculus", check_tn_calculus),
-    ("homogeneity, regularity and transpose symmetry", check_property_suites),
+    ("integrality, regularity and transpose symmetry", check_property_suites),
     ("nonpolar threshold of one-end contributions", check_ifunction_threshold),
     ("wall-crossing combinatorics", check_combinatorics),
 ]

@@ -250,14 +250,14 @@ def test_ch_series_above_the_bracket_bound_exits_2(monkeypatch, capsys):
 
 
 def test_json_renderer_is_json_layout():
-    from hilbwall.cli import _render
+    from hilbwall.cli import _chunks
     doc = {"empty": [[], {}, {"deep": [[], {"deeper": {}}]}],
            "nested": {"list": [(1, 2), {"a": 1, "b": ()}]},
            # bool is an int subclass that json writes as true, not True
            "bools": [1, True], "scalars": [True, None, 1.5],
            "digits": [-10**39, 7], "long": -10**39,
            "text": 'a "quote", a \\ backslash,\na newline and ≤'}
-    assert _render(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+    assert "".join(_chunks(doc)) == json.dumps(doc, indent=2, ensure_ascii=False)
 
 
 def test_large_listing_allocates_little_beyond_its_output(monkeypatch):
@@ -278,8 +278,60 @@ def test_large_listing_allocates_little_beyond_its_output(monkeypatch):
     finally:
         tracemalloc.stop()
     # json.dumps(indent=2) peaked at 8.4 times: its pure-Python encoder
-    # collects 71,411 chunks for these 692,802 characters
-    assert sink.written == 692802 and peak <= 4 * sink.written
+    # collects 71,411 chunks for these 692,802 characters.  One string per
+    # container, joined and written whole, peaked at 3.7 times; written in
+    # 64 KiB pieces, at 1.6 times
+    assert sink.written == 692802 and peak <= 2 * sink.written
+
+
+def test_listing_goes_out_in_whole_pieces(monkeypatch):
+    # a reader of 32 KiB blocks, as subprocess's communicate is, then reads
+    # whole blocks; pieces a few characters longer gave it a short read each
+    sizes = []
+
+    class Sink:
+        def write(self, text):
+            sizes.append(len(text))
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert run(["partitions", "--n", "30", "--format", "json"]) == 0
+    assert sum(sizes) == 692802 and set(sizes[:-1]) == {1 << 16}
+
+
+def test_reader_gone_midway_exits_2_with_one_line(monkeypatch, capsys):
+    class ClosingSink:  # a reader that takes the first piece, then closes the pipe
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 2:
+                raise BrokenPipeError(32, "Broken pipe")
+
+    sink = ClosingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    code = run(["partitions", "--n", "30", "--format", "json"])
+    err = capsys.readouterr().err
+    assert code == 2 and sink.writes == 2
+    assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_real_pipe_closed_early_exits_2_with_one_line(unbuffered):
+    # the listing is ten times the pipe's buffer, so the reader leaves while
+    # the command still writes; buffered, the rest of a piece would wait in
+    # stdout's buffer, and the exit would flush it and fail a second time
+    import os
+    import subprocess
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "hilbwall.cli", "partitions", "--n", "30", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.read(100).startswith(b'{\n  "result"')
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 2
+    assert err == b"error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 # (command line, format, exit code, stderr, sha256 of stdout): the README
@@ -378,10 +430,10 @@ BYTE_STABLE = [
     ('euler --d 3 --c 1 --order 4', 'json', 2, 'error: --d must be 1 or 2\n',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('verify', 'table', 0, '',
-     '72c385f0879b506b3bbb3d9101f2fec473f3c7c81a989730532010572ef8d995'),
+     '219761df36aabab4affab2fc06e8a9c58197bdb52df7203091d68271fad07d56'),
     # the only JSON output with free-text detail strings
     ('verify', 'json', 0, '',
-     '3af3bf2f34fb5cd905d511096f3f446163a2fc69b57c278b6e0a9139247ef78e'),
+     '6c1e1142a47951a23db89b3623b456ad57a29f22698cf7a2afc204434bb96098'),
     # one row per rendering branch of a monomial: zero, exponent 0,
     # exponent 1, and the zero u-monomial of a vanishing or polar bracket
     ('hilb-integral --n 5 --ch 1', 'table', 0, '',
