@@ -12,13 +12,16 @@ whole JSON document as one string.
 Exit codes: 0 on success, 1 when ``verify`` finds a failing check, 2 on
 flag or range errors, on an exactness or localization error, and when the
 output cannot be written; each exit 2 prints one ``error: ...`` line on
-stderr.  Stdout stays empty when the error comes before the output starts;
-a write that fails partway leaves a prefix there.
+stderr, and none when stderr is closed.  Stdout stays empty when the error
+comes before the output starts; a write that fails partway leaves a prefix
+there.  :func:`main`, the console entry, flushes stdout and then freezes
+every live object (``gc.freeze``), which the exit-time collections skip.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -305,6 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: str) -> None:
+    """Prints one error line on stderr; nothing when the process started with
+    stderr closed, where print(file=None) would write it to stdout."""
+    if sys.stderr is not None:
+        print(f"error: {message}", file=sys.stderr)
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     # an exact calculator prints its numbers in full, however many digits
     if hasattr(sys, "set_int_max_str_digits"):
@@ -314,7 +324,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
     try:
         fields, result, text, *code = args.fn(args)
@@ -332,10 +342,10 @@ def run(argv: Optional[list[str]] = None) -> int:
         else:
             _write(sys.stdout, chunks)
     except (UsageError, ExactError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _error(f"cannot write output: {exc}")
         return 2
     return code[0] if code else 0
 
@@ -347,10 +357,14 @@ def main() -> None:
             sys.stdout.flush()
     except OSError as exc:
         if code != 2:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            _error(f"cannot write output: {exc}")
             code = 2
         # the exit would flush the rest again, and report it a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    # everything alive now dies with the process: frozen, it is left out of
+    # the exit-time collections, which walk every tracked object (about 8 ms
+    # of a 65 ms cold command); the exit still flushes and runs atexit
+    gc.freeze()
     raise SystemExit(code)
 
 

@@ -132,12 +132,12 @@ def check_ch_series_golden() -> tuple[bool, str]:
         for n in range(201):
             if got[n] != want[n]:
                 return False, f"ch_{k} series differs at q^{n}"
-    for k in range(7):
-        got = ch_series(k, 8)
-        for n in range(1, 9):
+    for k in range(13):
+        got = ch_series(k, 16)
+        for n in range(1, 17):
             if got[n] != hilb_integral(n, [k]):
                 return False, f"ch_{k} series disagrees with localization at q^{n}"
-    return True, "ch_2..ch_6 series match closed forms to q^200; k <= 6 matches localization to q^8"
+    return True, "ch_2..ch_6 series match closed forms to q^200; k <= 12 matches localization to q^16"
 
 
 def _euler_identity(d: int, detail: str, base: list[int]) -> tuple[bool, str]:

@@ -334,6 +334,66 @@ def test_real_pipe_closed_early_exits_2_with_one_line(unbuffered):
     assert err == b"error: cannot write output: [Errno 32] Broken pipe\n"
 
 
+def test_closed_stderr_leaves_stdout_empty(capsys, monkeypatch):
+    # a process started with stderr closed has sys.stderr set to None, and
+    # print(file=None) writes to stdout
+    monkeypatch.setattr(sys, "stderr", None)
+    code = run(["hilb-integral", "--n", "0", "--format", "json"])
+    assert code == 2 and capsys.readouterr().out == ""
+
+
+# one command per way out of main: argparse's own exit, a table and a JSON
+# listing, a bracket on the list path, a range error and an unwritable --out
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["partitions", "--n", "4"],
+    ["partitions", "--n", "4", "--format", "json"],
+    ["hilb-integral", "--n", "14", "--ch", "3", "--ch", "4", "--format", "json"],
+    ["euler", "--d", "3", "--c", "1", "--order", "4"],
+    ["partitions", "--n", "4", "--out", "{tmp}/missing-dir/out.txt"],
+], ids=["version", "table", "json", "list-path", "range-error", "unwritable-out"])
+def test_cli_process_matches_run(capsys, tmp_path, argv):
+    import os
+    import subprocess
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, out, err = invoke(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-m", "hilbwall.cli", *argv],
+                           capture_output=True, env=env, timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (code, out.encode(), err.encode())
+
+
+@pytest.mark.parametrize("code, broken, want", [(0, False, 0), (1, False, 1), (2, False, 2),
+                                                (0, True, 2)],
+                         ids=["exit-0", "exit-1", "exit-2", "flush-fails"])
+def test_main_freezes_once_after_the_flush(capsys, monkeypatch, tmp_path, code, broken, want):
+    import gc
+    import os
+    from hilbwall import cli as climod
+    events = []
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class Stdout:
+        def flush(self):
+            events.append("flush")
+            if broken:
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+    monkeypatch.setattr(climod, "run", lambda: events.append("run") or code)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            climod.main()
+    finally:
+        os.close(fd)
+    assert events == ["run", "flush", "freeze"] and exit_.value.code == want
+    assert capsys.readouterr().err == (
+        "error: cannot write output: [Errno 32] Broken pipe\n" if broken else "")
+
+
 # (command line, format, exit code, stderr, sha256 of stdout): the README
 # examples and the edge cases around them, recorded once and pinned so that
 # any change to the rendered bytes shows up here
@@ -430,10 +490,10 @@ BYTE_STABLE = [
     ('euler --d 3 --c 1 --order 4', 'json', 2, 'error: --d must be 1 or 2\n',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('verify', 'table', 0, '',
-     '219761df36aabab4affab2fc06e8a9c58197bdb52df7203091d68271fad07d56'),
+     '71988b1ba651f9f4f9394e61895716e1940f78050b0044cda86f388566c45778'),
     # the only JSON output with free-text detail strings
     ('verify', 'json', 0, '',
-     '6c1e1142a47951a23db89b3623b456ad57a29f22698cf7a2afc204434bb96098'),
+     '8f63a91a39450191445dc322dcecfda408657383ca0c6b48fe7865aefe0eecd2'),
     # one row per rendering branch of a monomial: zero, exponent 0,
     # exponent 1, and the zero u-monomial of a vanishing or polar bracket
     ('hilb-integral --n 5 --ch 1', 'table', 0, '',

@@ -98,6 +98,8 @@ TOP_OF_RANGE_FAULTS = [
      "<ch_1>_25 is nonzero"),
     (verify.check_closed_forms, "hilb_integral", (25, [3]), lambda v: v + v,
      "<ch_3>_25 mismatch"),
+    (verify.check_ch_series_golden, "hilb_integral", (16, [12]), lambda v: v + v,
+     "ch_12 series disagrees with localization at q^16"),
     (verify.check_dilaton_closure, "reduce_pure_tilde", (8, 3), lambda v: [v[0] + 1] + v[1:],
      "dilaton closure fails at k=8, d=3, c_d=0"),
     (verify.check_tn_calculus, "tn_integral", (10, 16, 1), lambda v: v + 1,
@@ -165,7 +167,7 @@ def test_offdiagonal_degree_claim_refuses_degree_k_plus_one(monkeypatch):
 
 
 def test_ch_series_check_compares_k2_to_q200(monkeypatch):
-    # localization covers k = 2 only to q^8, so the closed form must see q^200
+    # localization covers k = 2 only to q^16, so the closed form must see q^200
     def wrong_at_q200(k, order):
         series = ch_series(k, order)
         if k == 2 and order >= 200:
