@@ -10,7 +10,7 @@ the conventions in force.
 __version__ = "0.1.0"
 
 from .exact import ExactError, Monomial
-from .fmcalc import reduce_pure_tilde, tn_integral
+from .fmcalc import pure_tilde_closures, tn_integral
 from .hilb import (FixedPointData, LocalizationError, enumerate_partitions,
                    fixed_point_data, hilb_integral, tangent_weights, taut_weights)
 from .ifun import nonpolar_ifunction
@@ -20,7 +20,7 @@ from .wallx import (ch_series, euler_series_closed, euler_series_wc,
 __all__ = [
     "__version__",
     "ExactError", "Monomial",
-    "reduce_pure_tilde", "tn_integral",
+    "pure_tilde_closures", "tn_integral",
     "FixedPointData", "LocalizationError",
     "enumerate_partitions", "fixed_point_data", "hilb_integral",
     "tangent_weights", "taut_weights",

@@ -56,6 +56,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _print_message(self, message, file=None):
+        # --help and --version print on sys.stdout, and argparse would print
+        # on stderr in its place when the process started with stdout closed
+        if file is None:
+            raise OSError("stdout is closed")
+        super()._print_message(message, file)
+
 
 def _monomial_json(m: Monomial) -> dict:
     return {"variable": m.var,
@@ -321,12 +328,6 @@ def run(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # --help and --version
-        return int(exc.code or 0)
-    except UsageError as exc:
-        _error(str(exc))
-        return 2
-    try:
         fields, result, text, *code = args.fn(args)
         if args.format == "json":
             doc = {"result": result, "query": {"command": args.command, **fields},
@@ -341,6 +342,8 @@ def run(argv: Optional[list[str]] = None) -> int:
             raise OSError("stdout is closed")
         else:
             _write(sys.stdout, chunks)
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
     except (UsageError, ExactError) as exc:
         _error(str(exc))
         return 2

@@ -15,19 +15,22 @@ recursion tested in the verification suite.  The one-end contributions
 reach these integrals through the substitution u -> -psi1, which
 :func:`hilbwall.wallx.ch_series` applies where it sums over the T_N.
 
-Second, the dilaton reduction of pure psi-tilde brackets on the full
+Second, the dilaton closure of pure psi-tilde brackets on the full
 Fulton-MacPherson space of a d-dimensional variety, with the top Chern
 class of the variety kept as the formal symbol c_d: each bare psi-tilde
 insertion comes off as the factor (-1)^d * (c_d - m), m the number of
-insertions left after it, so k of them give a falling factorial in c_d.
+insertions left after it, so k of them give (-1)^(dk) k! C(c_d, k), the
+FM side of the Euler-characteristic wall-crossing in :mod:`hilbwall.wallx`.
 A polynomial in c_d is an int list of its coefficients in ascending
 powers of c_d, as the q-series are.  The empty bracket is [1].
 """
 
 from __future__ import annotations
 
+from itertools import count
 from math import comb
 from operator import index
+from typing import Iterator
 
 
 def tn_integral(n: int, a: int, b: int) -> int:
@@ -43,21 +46,17 @@ def tn_integral(n: int, a: int, b: int) -> int:
     return (-1) ** ((a + 1) // 2) * comb(n - 2, a // 2)
 
 
-def reduce_pure_tilde(k: int, d: int) -> list[int]:
-    """Value of the bracket of k bare tilde insertions on the FM space of a
-    d-dimensional variety: the product of the dilaton factors
-    (-1)^d * (c_d - m) for m = k-1 .. 0, down to the empty bracket 1, as
-    its coefficients in ascending powers of c_d; a non-integer d raises
-    TypeError."""
+def pure_tilde_closures(d: int) -> Iterator[list[int]]:
+    """The brackets of k = 0, 1, 2, ... bare tilde insertions on the FM space
+    of a d-dimensional variety, as polynomials in c_d: [1], then each times
+    one more dilaton factor (-1)^d * (c_d - m), m = 0, 1, ...; a non-integer
+    d raises TypeError at the first step."""
     d = index(d)
     if d not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     sign = (-1) ** d
     value = [1]
-    for m in range(k - 1, -1, -1):
+    for m in count():
+        yield value
         # the coefficient of c_d^i in sign * (c_d - m) * value
-        value = [sign * (lower - m * same)
-                 for same, lower in zip(value + [0], [0] + value)]
-    return value
+        value = [sign * (lower - m * same) for same, lower in zip(value + [0], [0] + value)]

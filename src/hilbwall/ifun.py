@@ -19,6 +19,7 @@ enters through u -> -psi1.  Both substitutions are made inline in
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable
 
 from .exact import Monomial
@@ -29,10 +30,19 @@ def nonpolar_ifunction(n: int, ks: Iterable[int] = ()) -> Monomial:
     """Nonpolar part of I_n(z, prod ch_{k_i}) as a u-monomial.
 
     Zero exactly when the bracket vanishes or K < 2n - 2 (the exponent
-    K - 2n + 2 would be negative, leaving only polar terms).
+    K - 2n + 2 would be negative, leaving only polar terms).  Below that
+    threshold it computes no bracket, and checks its numbers as hilb_integral
+    does; at or above it hilb_integral checks them.
     """
+    ks = tuple(ks)
+    if sum(ks) < 2 * n - 2:
+        n, ks = index(n), tuple(map(index, ks))
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if any(k < 0 for k in ks):
+            raise ValueError("ch indices must be nonnegative")
+        return Monomial(0, 0, "u")
     bracket = hilb_integral(n, ks)
-    exp = bracket.exp + 2
     # a zero coefficient forces the exponent to 0, so a vanishing bracket
     # gives the zero u-monomial whatever its degree
-    return Monomial(bracket.coeff if exp >= 0 else 0, exp, "u")
+    return Monomial(bracket.coeff, bracket.exp + 2, "u")

@@ -4,11 +4,12 @@ one pass/fail check each.
 Checks compare against independent closed forms or brute-force recounts,
 never against the code path under test: brackets against their factorial
 closed forms and the off-diagonal sum :func:`offdiagonal_bracket`, the ch_k
-series against both the direct localization values and frozen
-generating-series shapes, the tree-locus integrals against their
-Pascal-style recursion, the dilaton rewrite against integer binomials, and
-the combinatorial expanders against recursive enumeration.  Everything is
-exact; a check fails only on a true mismatch.
+series against the direct localization values, frozen generating-series
+shapes and exp(q) times the connected piece C_k = Z_k exp(-q) built from
+localization, the tree-locus integrals against their Pascal-style
+recursion, the dilaton closures that the Euler wall-crossing reads against
+integer binomials, and the combinatorial expanders against recursive
+enumeration.  Everything is exact; a check fails only on a true mismatch.
 
 The off-diagonal sum rests on a claim argued from the Hilbert-Chow map to
 Sym^n(C^2), which is proper, and not proven here: n! (t1 t2)^n times a
@@ -20,17 +21,21 @@ bracket on the diagonal.  k! ch_k is the k-th power sum of the Chern roots,
 an integral class; its pushforward along the Hilbert-Chow map to
 Sym^n(C^2) pulls back to (C^2)^n, so n! (t1 t2)^n prod_i k_i! times the
 bracket lies in Z[t1, t2], and at t1 = t2 = 1 it is that integer.
+
+Check 4 tests a claim observed, not argued: C_k is a polynomial in q of
+degree at most (k + 2) // 2, the nonpolar threshold of one-end
+contributions; it requires the coefficient one past that bound to be 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm, perm, prod
 from typing import Callable, Iterable
 
 from .exact import Monomial
-from .fmcalc import reduce_pure_tilde, tn_integral
+from .fmcalc import pure_tilde_closures, tn_integral
 from .hilb import (LocalizationError, conjugate, enumerate_partitions, fixed_point_data,
                    hilb_integral, tangent_weights, taut_weights)
 from .ifun import nonpolar_ifunction
@@ -137,7 +142,25 @@ def check_ch_series_golden() -> tuple[bool, str]:
         for n in range(1, 17):
             if got[n] != hilb_integral(n, [k]):
                 return False, f"ch_{k} series disagrees with localization at q^{n}"
-    return True, "ch_2..ch_6 series match closed forms to q^200; k <= 12 matches localization to q^16"
+    for k in range(21):
+        # the connected piece C_k = Z_k exp(-q), Z_k = sum_n <ch_k>_n q^n at
+        # t = 1, from localization through one coefficient past its bound
+        top = (k + 2) // 2 + 1
+        piece = [sum(hilb_integral(n, [k]).coeff * (-1) ** (m - n) / factorial(m - n)
+                     for n in range(1, m + 1)) for m in range(top + 1)]
+        if piece[top]:
+            return False, f"connected piece of ch_{k} is nonzero at q^{top}"
+        # exp(q) C_k at q^n is sum_j C_k[j] n!/(n-j)! / n!, over one denominator
+        common = lcm(*(c.denominator for c in piece))
+        ints = [c.numerator * (common // c.denominator) for c in piece]
+        got = ch_series(k, 200)
+        for n in range(201):
+            want = Fraction(sum(c * perm(n, j) for j, c in enumerate(ints)), common * factorial(n))
+            if got[n] != Monomial(want, k - 2 * n):
+                return False, f"ch_{k} series differs from exp(q) C_{k} at q^{n}"
+    return True, ("ch_2..ch_6 series match closed forms to q^200; k <= 12 matches localization "
+                  "to q^16; k <= 20 is exp(q) C_k to q^200, C_k from localization of degree "
+                  "<= (k+2)//2")
 
 
 def _euler_identity(d: int, detail: str, base: list[int]) -> tuple[bool, str]:
@@ -213,8 +236,7 @@ def check_dt_identity() -> tuple[bool, str]:
 def check_dilaton_closure() -> tuple[bool, str]:
     # independent oracle: the falling factorial at integer points is k!*C(x,k)
     for d in (1, 2, 3):
-        for k in range(9):
-            value = reduce_pure_tilde(k, d)
+        for k, value in zip(range(9), pure_tilde_closures(d)):
             sign = (-1) ** (d * k)
             for x in range(0, 20):
                 want = sign * factorial(k) * comb(x, k)

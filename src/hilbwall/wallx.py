@@ -22,18 +22,17 @@ Three layers:
 
       C * (-1)^a * int_{T_N} psi1^a psi_inf^j * t^(a - 2N) * q^(n+N-1) / (N-1)!
 
-  The q^n coefficient of the assembled series reproduces the direct
-  localization value of <ch_k>_n for every n, which the verification
-  suite checks exactly.
+  The series' q^n coefficient is <ch_k>_n; check 4 of the verification
+  suite compares it with localization's exp(q) C_k to q^200 for k <= 20.
 
-* Euler-characteristic generating series.  In dimensions one, two and
-  three the wall-crossing collapses to 1 + sum_k C(c_d, k) (F(q) - 1)^k,
-  with F = 1/(1-q), the partition-counting Euler product, or the signed
-  MacMahon function M(-q), the degree-zero Donaldson-Thomas series of
-  C^3.  Each is one product F = prod_m (1 - (+-q)^m)^(-e(m)), so its
-  closed power F^c, Macdonald's (1/(1-q))^c, Goettsche's f(q)^c or
-  M(-q)^c, follows from the log-derivative of F by one integer
-  recurrence.  The wall-crossing sum reads that product only at c = 1.
+* Euler-characteristic series.  In dimensions one, two and three the
+  wall-crossing collapses to 1 + sum_k C(c_d, k) (F(q) - 1)^k, with F =
+  1/(1-q), the partition-counting Euler product or the signed MacMahon
+  function M(-q), the degree-zero Donaldson-Thomas series of C^3.  The FM
+  side C(c_d, k) is the dilaton closure of k tilde insertions, read from
+  :func:`hilbwall.fmcalc.pure_tilde_closures` at c_d = c.  The closed power
+  F^c of each product F = prod_m (1 - (+-q)^m)^(-e(m)) follows from its
+  log-derivative by one integer recurrence; the sum reads it only at c = 1.
 
 A q-series is a plain list with the q^n coefficient at index n, so a
 truncated series never equals a longer one.
@@ -41,13 +40,13 @@ truncated series never equals a longer one.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from math import factorial
 from operator import index
 from typing import Iterator
 
 from .exact import ExactError, Monomial
-from .fmcalc import tn_integral
+from .fmcalc import pure_tilde_closures, tn_integral
 from .ifun import nonpolar_ifunction
 
 
@@ -141,19 +140,21 @@ def _log_derivative(d: int, q_order: int) -> list[int]:
 
 
 def euler_series_wc(d: int, c: int, q_order: int) -> list[int]:
-    """Euler-characteristic series by wall-crossing:
-    1 + sum_{k>=1} C(c, k) (F(q) - 1)^k with F the d-dependent base, summed
-    in integers.  F is the closed form at c = 1, the only power read, so the
-    closed form at any other c is checked by an independent path.  A
-    non-integer c raises the closed form's ExactError."""
+    """Euler-characteristic series 1 + sum_{k>=1} C(c, k) (F(q) - 1)^k by
+    wall-crossing, in integers: C(c, k) from the FM side's dilaton closures,
+    F the closed form at c = 1, the only power read, so the closed form at
+    any other c is checked by an independent path.  A non-integer c raises
+    the closed form's ExactError."""
     if not isinstance(c, int):
         raise ExactError("series power must be an integer")
     g = [0] + euler_series_closed(d, 1, q_order)[1:]  # F - 1
     total = [1] + [0] * q_order
     power = list(total)  # g^(k-1), which starts at q^(k-1)
-    binom = 1
-    for k in range(1, q_order + 1):
-        binom = binom * (c - k + 1) // k  # C(c, k), an exact division
+    for k, closure in enumerate(islice(pure_tilde_closures(d), 1, q_order + 1), 1):
+        value = 0
+        for coeff in reversed(closure):  # Horner's rule at c_d = c
+            value = value * c + coeff
+        binom = (-1) ** (d * k) * value // factorial(k)  # C(c, k), an exact division
         if binom == 0:  # c >= 0 and k > c: so is every later C(c, k)
             break
         power = [0] * k + [sum(power[i] * g[n - i] for i in range(k - 1, n))

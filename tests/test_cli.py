@@ -342,6 +342,22 @@ def test_closed_stderr_leaves_stdout_empty(capsys, monkeypatch):
     assert code == 2 and capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_help_and_version_with_stdout_closed_exit_2(capsys, monkeypatch, flag):
+    # left to itself, argparse prints their text on stderr in place of a
+    # closed stdout and exits 0; every subcommand exits 2 with one error line
+    import os
+    import subprocess
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run([flag]) == 2
+    assert capsys.readouterr() == ("", "error: cannot write output: stdout is closed\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-m", "hilbwall.cli", flag], stderr=subprocess.PIPE,
+                           env=env, timeout=60, preexec_fn=lambda: os.close(1))
+    assert (child.returncode, child.stderr) == (
+        2, b"error: cannot write output: stdout is closed\n")
+
+
 # one command per way out of main: argparse's own exit, a table and a JSON
 # listing, a bracket on the list path, a range error and an unwritable --out
 @pytest.mark.parametrize("argv", [
@@ -490,10 +506,10 @@ BYTE_STABLE = [
     ('euler --d 3 --c 1 --order 4', 'json', 2, 'error: --d must be 1 or 2\n',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('verify', 'table', 0, '',
-     '71988b1ba651f9f4f9394e61895716e1940f78050b0044cda86f388566c45778'),
+     '873b3e444f936c26198a544f95ac8bb98f83119dae585d9b7dd00a3312f1c0ef'),
     # the only JSON output with free-text detail strings
     ('verify', 'json', 0, '',
-     '8f63a91a39450191445dc322dcecfda408657383ca0c6b48fe7865aefe0eecd2'),
+     '6795861fad3075660f932259187688410ca068f997c7153fbc3cebbcda903879'),
     # one row per rendering branch of a monomial: zero, exponent 0,
     # exponent 1, and the zero u-monomial of a vanishing or polar bracket
     ('hilb-integral --n 5 --ch 1', 'table', 0, '',

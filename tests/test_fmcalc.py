@@ -1,6 +1,8 @@
+from itertools import islice
+
 import pytest
 
-from hilbwall.fmcalc import reduce_pure_tilde, tn_integral
+from hilbwall.fmcalc import pure_tilde_closures, tn_integral
 
 
 # --- tree-locus integrals -------------------------------------------------------
@@ -35,26 +37,35 @@ def test_tn_integral_rejects_non_integers():
 
 # --- dilaton steps ---------------------------------------------------------------
 
+def closure(k, d):
+    """The k-th closure that pure_tilde_closures(d) yields."""
+    return next(islice(pure_tilde_closures(d), k, None))
+
+
 def test_dilaton_step_examples():
     # coefficients in ascending powers of c_d
-    assert reduce_pure_tilde(1, 2) == [0, 1]
+    assert closure(1, 2) == [0, 1]
     # the factors -c1 and -(c1 - 1)
-    assert reduce_pure_tilde(2, 1) == [0, -1, 1]
+    assert closure(2, 1) == [0, -1, 1]
 
 
-def test_reduce_pure_tilde_validation():
+def test_pure_tilde_closures_validation():
+    # a generator checks d at its first step
     for d in (0, 4):
         with pytest.raises(ValueError):
-            reduce_pure_tilde(1, d)
-    with pytest.raises(ValueError):
-        reduce_pure_tilde(-1, 2)
+            next(pure_tilde_closures(d))
+    # no k below 0: the first closure is the empty bracket
+    assert next(pure_tilde_closures(2)) == [1]
     with pytest.raises(TypeError):
-        reduce_pure_tilde(3, 2.0)  # not a list of floats
+        next(pure_tilde_closures(2.0))  # not a list of floats
 
 
 # --- pure tilde closure ----------------------------------------------------------
 
-def test_reduce_pure_tilde_small():
-    assert reduce_pure_tilde(0, 2) == [1]
-    assert reduce_pure_tilde(2, 2) == [0, -1, 1]      # c2*(c2 - 1)
-    assert reduce_pure_tilde(3, 1) == [0, -2, 3, -1]  # -c(c-1)(c-2)
+def test_pure_tilde_closures_small():
+    assert closure(0, 2) == [1]
+    assert closure(2, 2) == [0, -1, 1]      # c2*(c2 - 1)
+    assert closure(3, 1) == [0, -2, 3, -1]  # -c(c-1)(c-2)
+    # one factor a step: each closure is the one before times (-1)^d (c_d - k)
+    assert list(islice(pure_tilde_closures(3), 4)) == [
+        [1], [0, -1], [0, -1, 1], [0, -2, 3, -1]]

@@ -202,12 +202,13 @@ def test_bracket_grid_digest_at_larger_n():
 
 def test_bracket_memo_runs_the_kernel_once():
     hilb._bracket.cache_clear()
-    nonpolar_ifunction(5, [4, 2])
-    value = hilb_integral(5, [2, 4])
+    # K = 8 = 2n - 2: at the nonpolar threshold, so both calls need the bracket
+    nonpolar_ifunction(5, [4, 4])
+    value = hilb_integral(5, [4, 4])
     info = hilb._bracket.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert info.maxsize is None
-    assert value == offdiagonal_bracket(5, [2, 4])
+    assert value == offdiagonal_bracket(5, [4, 4])
 
 
 def test_bracket_memo_never_evicts():

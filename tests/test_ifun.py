@@ -1,5 +1,8 @@
 from fractions import Fraction as F
 
+import pytest
+
+from hilbwall import hilb
 from hilbwall.exact import Monomial
 from hilbwall.hilb import hilb_integral
 from hilbwall.ifun import nonpolar_ifunction
@@ -47,3 +50,25 @@ def test_vanishing_threshold_larger_brackets():
         assert sum(ks) < 2 * n - 2
         assert nonpolar_ifunction(n, ks).is_zero()
 
+
+def test_below_the_threshold_no_bracket_is_computed():
+    hilb._bracket.cache_clear()
+    for n, ks in [(5, [4, 2]), (12, [3]), (8, (4, 4, 4)), (2, [0, 1])]:
+        assert nonpolar_ifunction(n, ks) == Monomial(0, 0, "u")
+    assert hilb._bracket.cache_info().misses == 0
+
+
+def test_below_the_threshold_arguments_are_checked_as_hilb_integral_checks_them():
+    for n, ks, error in [(2, [-1], ValueError), (-1, [-5], ValueError), (3.0, [2], TypeError),
+                         (4, [1.5], TypeError)]:
+        with pytest.raises(error) as got:
+            nonpolar_ifunction(n, ks)
+        with pytest.raises(error) as want:
+            hilb_integral(n, ks)
+        assert str(got.value) == str(want.value)
+    # a string fails the threshold's sum before any check
+    with pytest.raises(TypeError):
+        nonpolar_ifunction(4, ["1"])
+    # the indices are read once, on either side of the threshold
+    assert nonpolar_ifunction(5, iter([4, 2])).is_zero()
+    assert nonpolar_ifunction(2, iter([2])) == Monomial(F(-1, 4), 0, "u")

@@ -8,6 +8,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -100,7 +101,13 @@ TOP_OF_RANGE_FAULTS = [
      "<ch_3>_25 mismatch"),
     (verify.check_ch_series_golden, "hilb_integral", (16, [12]), lambda v: v + v,
      "ch_12 series disagrees with localization at q^16"),
-    (verify.check_dilaton_closure, "reduce_pure_tilde", (8, 3), lambda v: [v[0] + 1] + v[1:],
+    # past the golden shapes (k <= 6) and the localization half (q^16)
+    (verify.check_ch_series_golden, "ch_series", (20, 200),
+     lambda v: v[:200] + [v[200] + Monomial(1, -380)],
+     "ch_20 series differs from exp(q) C_20 at q^200"),
+    # the closures for d = 3, the ninth of them, k = 8, with its constant term off by one
+    (verify.check_dilaton_closure, "pure_tilde_closures", (3,),
+     lambda closures: ([v[0] + 1] + v[1:] if k == 8 else v for k, v in enumerate(closures)),
      "dilaton closure fails at k=8, d=3, c_d=0"),
     (verify.check_tn_calculus, "tn_integral", (10, 16, 1), lambda v: v + 1,
      "square-removal recursion fails at (10,16,1)"),
@@ -116,8 +123,8 @@ TOP_OF_RANGE_FAULTS = [
 
 
 @pytest.mark.parametrize("check, name, at, fault, detail", TOP_OF_RANGE_FAULTS,
-                         ids=[check.__name__ + ("_offdiagonal" if name == "offdiagonal_bracket"
-                                                else "")
+                         ids=[check.__name__ + {"offdiagonal_bracket": "_offdiagonal",
+                                                "ch_series": "_q200"}.get(name, "")
                               for check, name, *_ in TOP_OF_RANGE_FAULTS])
 def test_check_fails_on_one_wrong_value_at_the_top_of_its_range(
         monkeypatch, check, name, at, fault, detail):
@@ -128,6 +135,38 @@ def test_check_fails_on_one_wrong_value_at_the_top_of_its_range(
         return fault(value) if args == at else value
     monkeypatch.setattr(verify, name, planted)
     assert check() == (False, detail)
+
+
+def test_ch_series_check_fails_on_a_connected_piece_past_its_degree(monkeypatch):
+    # <ch_20>_12 doubled, where check 4 reads C_20 one coefficient past its
+    # bound q^11; the series still matches localization wherever it is compared
+    right = verify.hilb_integral
+
+    def planted(n, ks):
+        value = right(n, ks)
+        return value + value if (n, list(ks)) == (12, [20]) else value
+    monkeypatch.setattr(verify, "hilb_integral", planted)
+    assert verify.check_ch_series_golden() == (
+        False, "connected piece of ch_20 is nonzero at q^12")
+
+
+def test_a_shifted_dilaton_factor_fails_the_closure_and_the_euler_checks(monkeypatch):
+    # the FM factor c_d - 2 taken as c_d - 3: the Euler checks compare the
+    # wall-crossing sum, which reads its C(c, k) from these closures, with the
+    # closed form, so they see the shift as well as the closure check does
+    def shifted(d):
+        value = [1]
+        for m in count():
+            yield value
+            m += m == 2
+            value = [(-1) ** d * (lower - m * same)
+                     for same, lower in zip(value + [0], [0] + value)]
+    monkeypatch.setattr(verify, "pure_tilde_closures", shifted)
+    monkeypatch.setattr(wallx, "pure_tilde_closures", shifted)
+    assert verify.check_dilaton_closure() == (False, "dilaton closure fails at k=3, d=1, c_d=2")
+    for check, d in ((verify.check_macdonald, 1), (verify.check_gottsche, 2),
+                     (verify.check_dt_identity, 3)):
+        assert check() == (False, f"dimension-{d} series mismatch at c=-6")
 
 
 def test_property_check_fails_on_its_degree_claim_for_a_shifted_weight(monkeypatch):

@@ -13,7 +13,7 @@ Exits 1 when an ``old`` does not occur exactly once in its file, when a
 catcher fails on the unedited copy, when an edit's catcher passes, or when
 any catcher fails on an ``EQUIVALENT`` edit (the edit is caught after all,
 so it belongs in ``EDITS``); exits 0 otherwise.  Takes about three
-minutes on 2 vCPUs (3 min 8 s for 30 edits).  Run from the root of a
+minutes on 2 vCPUs (2 min 38 s for 33 edits).  Run from the root of a
 checkout:
 
     python tools/mutants.py
@@ -88,8 +88,9 @@ EDITS = [
     # an int coefficient kept as an int: it equals its Fraction, so only
     # Tier-1's type checks see it
     (EXACT, "coeff = Fraction(coeff)", "coeff = coeff", "tier1"),
-    # the one-end contribution u^0 counted as polar
-    (IFUN, "if exp >= 0 else 0", "if exp > 0 else 0", "verify"),
+    # the nonpolar threshold one too high: the one-end contribution u^0
+    # counted as polar, without a bracket
+    (IFUN, "if sum(ks) < 2 * n - 2:", "if sum(ks) < 2 * n - 1:", "verify"),
     # the other member of each transpose pair kept: its row at -eps has the
     # same even part, so no value changes, only the rows the tests pin
     (HILB, "if parts >= conjugate(parts)]", "if parts <= conjugate(parts)]", "tier1"),
@@ -102,6 +103,9 @@ EDITS = [
     # the wall-crossing sum stopped at the first C(c, k) that is not
     # positive, which at c < 0 is the first one
     (WALLX, "if binom == 0:", "if binom <= 0:", "verify"),
+    # the FM side's sign (-1)^(dk) read as (-1)^k: every C(c, k) of odd k
+    # flips its sign in dimension two
+    (WALLX, "(-1) ** (d * k)", "(-1) ** k", "verify"),
     # the last tree locus left out of each ch_k seed's sum
     (WALLX, "range(max(2, (a + 4) // 2), q_order - n + 2)",
      "range(max(2, (a + 4) // 2), q_order - n + 1)", "verify"),
@@ -117,6 +121,13 @@ EDITS = [
     # and only the planted repeat sees it (the comparison alone is not unique)
     (VERIFY, "_full_terms_recursive(n, m)\n            if len(terms) != len(want) or ",
      "_full_terms_recursive(n, m)\n            if ", "tier1"),
+    # check 4 compares exp(q) C_k with the ch_k series only to q^199: only
+    # the planted q^200 coefficient at k = 20 sees it
+    (VERIFY, "got = ch_series(k, 200)\n        for n in range(201):",
+     "got = ch_series(k, 200)\n        for n in range(200):", "tier1"),
+    # check 4 reads each connected piece past its top coefficient, where
+    # it is always empty: only the planted piece past its bound sees it
+    (VERIFY, "if piece[top]:", "if piece[top + 1:]:", "tier1"),
     # the off-diagonal sum sampled at one more point and its degree test
     # reading the (K+2)-th difference: only a sum of degree K + 1 in M,
     # which the homogeneity test refuses with another message, passes it
