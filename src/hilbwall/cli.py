@@ -41,6 +41,11 @@ MAX_N = 40
 # bounds --order and tn --n: euler --check takes about 0.5 s at order 200
 # and 2.5 s at 400, and tn at n = 10^6 prints a 300,000-digit binomial
 MAX_ORDER = 200
+# bounds the total ch degree K, the sum of --ch or the one --k: ch-series
+# --k K brackets every n <= (K + 2) // 2, so 64 keeps it below MAX_N; at
+# n = 40 a cold hilb-integral --ch 64 took 9.2 s, ch-series --k 64 --order
+# 200 7.9 s and --k 70 16 s (CPython 3.11, 2 vCPUs)
+MAX_K = 64
 # bounds |--c| of euler and dt-check: at order 200 the binomials C(c, k) have
 # about 200 times the digits of c, and euler --check took 21 s at |c| = 10^300
 MAX_C = 10**18
@@ -169,6 +174,8 @@ def _cmd_bracket(args):
     ks = sorted(args.ch or [])
     if ks and ks[0] < 0:
         raise UsageError("--ch must be >= 0")
+    if sum(ks) > MAX_K:
+        raise UsageError(f"the --ch indices must sum to <= {MAX_K}")
     value = args.bracket(args.n, ks)
     return {"n": args.n, "ch": ks}, _monomial_json(value), str(value)
 
@@ -186,13 +193,8 @@ def _cmd_ch_series(args):
     if len(args.k) != 1:
         raise UsageError("--k must be given exactly once")
     k, = args.k
-    if k < 0:
-        raise UsageError("--k must be >= 0")
+    _check_range("--k", k, 0, MAX_K)
     _check_range("--order", args.order, 1, MAX_ORDER)
-    # ch_series brackets every n of its nonpolar seed range, 2n <= k + 2
-    top = min((k + 2) // 2, args.order)
-    if top > MAX_N:
-        raise UsageError(f"--k and --order need brackets up to n = {top} > {MAX_N}")
     series = ch_series(k, args.order)
     query = {"k": k, "order": args.order}
     return query, _series_json(series), _series_table(series)

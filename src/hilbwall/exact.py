@@ -25,13 +25,14 @@ class Monomial(namedtuple("Monomial", "coeff exp var")):
     """The single term coeff * var^exp, with an exact coefficient.
 
     A zero coefficient forces exp = 0, so zeros of any degree compare
-    equal.  Two monomials add only when they share their degree and
-    variable; a zero adds to anything.  ``str()`` of a coefficient with
-    more than 4,300 digits raises ValueError under Python's default
-    int-string conversion limit; ``cli.run`` lifts that limit.
+    equal.  Monomials do not add: ``+`` raises TypeError where the tuple
+    would concatenate, so a sum is taken on the coefficients.  ``str()`` of
+    a coefficient with more than 4,300 digits raises ValueError under
+    Python's default int-string conversion limit; ``cli.run`` lifts it.
     """
 
     __slots__ = ()
+    __add__ = None
 
     def __new__(cls, coeff: Fraction, exp: int, var: str = "t"):
         if type(coeff) is not Fraction:
@@ -48,15 +49,6 @@ class Monomial(namedtuple("Monomial", "coeff exp var")):
     def terms(self) -> dict[int, Fraction]:
         """``{exp: coeff}``, empty for zero."""
         return {self.exp: self.coeff} if self.coeff else {}
-
-    def __add__(self, other: "Monomial") -> "Monomial":
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        if (self.exp, self.var) != (other.exp, other.var):
-            raise ExactError(f"cannot add {self} and {other}: different degrees")
-        return Monomial(self.coeff + other.coeff, self.exp, self.var)
 
     def __str__(self):
         if self.is_zero():

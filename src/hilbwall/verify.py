@@ -4,12 +4,13 @@ one pass/fail check each.
 Checks compare against independent closed forms or brute-force recounts,
 never against the code path under test: brackets against their factorial
 closed forms and the off-diagonal sum :func:`offdiagonal_bracket`, the ch_k
-series against the direct localization values, frozen generating-series
-shapes and exp(q) times the connected piece C_k = Z_k exp(-q) built from
-localization, the tree-locus integrals against their Pascal-style
-recursion, the dilaton closures that the Euler wall-crossing reads against
-integer binomials, and the combinatorial expanders against recursive
-enumeration.  Everything is exact; a check fails only on a true mismatch.
+series against the direct localization values and exp(q) times the
+connected piece C_k = Z_k exp(-q) built from localization, that piece
+against its frozen closed form for k = 2..6, the tree-locus integrals
+against their Pascal-style recursion, the dilaton closures that the Euler
+wall-crossing reads against integer binomials, and the combinatorial
+expanders against recursive enumeration.  Everything is exact; a check
+fails only on a true mismatch.
 
 The off-diagonal sum rests on a claim argued from the Hilbert-Chow map to
 Sym^n(C^2), which is proper, and not proven here: n! (t1 t2)^n times a
@@ -25,10 +26,13 @@ bracket lies in Z[t1, t2], and at t1 = t2 = 1 it is that integer.
 Check 4 tests a claim observed, not argued: C_k is a polynomial in q of
 degree at most (k + 2) // 2, the nonpolar threshold of one-end
 contributions; it requires the coefficient one past that bound to be 0.
+exp(q) is invertible, so with the series equal to exp(q) C_k, C_k equals
+its frozen form exactly when the series equals exp(q) times that form.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial, lcm, perm, prod
@@ -44,10 +48,9 @@ from .wallx import (ch_series, euler_series_closed, euler_series_wc,
 
 
 # ---------------------------------------------------------------------------
-# frozen generating-series shapes for the ch_k brackets, k = 2 .. 6: each
-# series is exp(q/t^2) times a polynomial in q, kept as {power of q:
-# coefficient}.  Never computed from hilb, or check 4 would compare the code
-# with itself.
+# frozen connected pieces C_k, k = 2 .. 6, as {power of q: coefficient}: the
+# series of <ch_k>_n is exp(q/t^2) C_k.  Never computed from hilb, or check 4
+# would compare the code with itself.
 _CH_SERIES_FACTORS = {
     2: {2: Fraction(-1, 4)},
     3: {2: Fraction(1, 6)},
@@ -55,17 +58,6 @@ _CH_SERIES_FACTORS = {
     5: {2: Fraction(1, 60), 3: Fraction(-1, 30)},
     6: {2: Fraction(-1, 288), 3: Fraction(23, 1080), 4: Fraction(-1, 576)},
 }
-
-
-def golden_ch_series(k: int, order: int) -> list[Monomial]:
-    """The closed generating-series forms of the ch_k brackets, k = 2 .. 6:
-    the q^n coefficient is sum_j c_j / (n - j)! times t^(k - 2n), over the
-    frozen factor sum_j c_j q^j."""
-    if k not in _CH_SERIES_FACTORS:
-        raise ValueError("closed series shapes are recorded for k = 2 .. 6")
-    factor = _CH_SERIES_FACTORS[k]
-    return [Monomial(sum(c / factorial(n - j) for j, c in factor.items() if j <= n), k - 2 * n)
-            for n in range(order + 1)]
 
 
 def offdiagonal_bracket(n: int, ks: Iterable[int] = ()) -> Monomial:
@@ -79,13 +71,16 @@ def offdiagonal_bracket(n: int, ks: Iterable[int] = ()) -> Monomial:
     if n < 1 or any(k < 0 for k in ks):
         raise ValueError("n must be >= 1 and ch indices nonnegative")
     points = [(tangent_weights(lam), taut_weights(lam)) for lam in enumerate_partitions(n)]
+    counts = Counter(ks).items()  # one power sum per distinct index, to its multiplicity
 
     def p(t1: int, t2: int) -> Fraction:  # P * prod k! / n!
         dens = [prod(a * t1 + b * t2 for a, b in tangent) for tangent, _ in points]
         common = lcm(*dens)
-        return Fraction((t1 * t2) ** n * sum(
-            prod(sum((-(c * t1 + r * t2)) ** k for c, r in taut) for k in ks) * (common // d)
-            for (_, taut), d in zip(points, dens)), common)
+        total = 0
+        for (_, taut), d in zip(points, dens):
+            ws = [-(c * t1 + r * t2) for c, r in taut]
+            total += prod(sum([w ** k for w in ws]) ** e for k, e in counts) * (common // d)
+        return Fraction((t1 * t2) ** n * total, common)
 
     big, start = sum(ks), n + 1
     values = [p(1, m) for m in range(start, start + big + 2)]
@@ -131,18 +126,12 @@ def check_closed_forms() -> tuple[bool, str]:
 
 
 def check_ch_series_golden() -> tuple[bool, str]:
-    for k in range(2, 7):
-        got = ch_series(k, 200)
-        want = golden_ch_series(k, 200)
-        for n in range(201):
-            if got[n] != want[n]:
-                return False, f"ch_{k} series differs at q^{n}"
-    for k in range(13):
-        got = ch_series(k, 16)
-        for n in range(1, 17):
-            if got[n] != hilb_integral(n, [k]):
-                return False, f"ch_{k} series disagrees with localization at q^{n}"
     for k in range(21):
+        got = ch_series(k, 200)
+        if k <= 12:
+            for n in range(1, 17):
+                if got[n] != hilb_integral(n, [k]):
+                    return False, f"ch_{k} series disagrees with localization at q^{n}"
         # the connected piece C_k = Z_k exp(-q), Z_k = sum_n <ch_k>_n q^n at
         # t = 1, from localization through one coefficient past its bound
         top = (k + 2) // 2 + 1
@@ -150,10 +139,13 @@ def check_ch_series_golden() -> tuple[bool, str]:
                      for n in range(1, m + 1)) for m in range(top + 1)]
         if piece[top]:
             return False, f"connected piece of ch_{k} is nonzero at q^{top}"
+        # for k = 2..6 the piece must equal its frozen form through q^top
+        for j in range(top + 1 if k in _CH_SERIES_FACTORS else 0):
+            if piece[j] != _CH_SERIES_FACTORS[k].get(j, 0):
+                return False, f"connected piece of ch_{k} differs from its frozen form at q^{j}"
         # exp(q) C_k at q^n is sum_j C_k[j] n!/(n-j)! / n!, over one denominator
         common = lcm(*(c.denominator for c in piece))
         ints = [c.numerator * (common // c.denominator) for c in piece]
-        got = ch_series(k, 200)
         for n in range(201):
             want = Fraction(sum(c * perm(n, j) for j, c in enumerate(ints)), common * factorial(n))
             if got[n] != Monomial(want, k - 2 * n):
@@ -273,12 +265,14 @@ def check_property_suites() -> tuple[bool, str]:
             value = hilb_integral(n, ks)
             if (value.coeff * factorial(n) * prod(map(factorial, ks))).denominator != 1:
                 return False, f"n! prod k! C is not an integer at n={n}, ks={ks}"
-            if len(ks) <= 2:
-                try:
-                    if offdiagonal_bracket(n, ks) != value:
-                        return False, f"off-diagonal value differs at n={n}, ks={ks}"
-                except LocalizationError as err:
-                    return False, f"{err} at n={n}, ks={ks}"
+    # the grid's brackets of at most two insertions, and two larger ones at n = 21
+    pairs = [(n, ks) for ks in grid if len(ks) <= 2 for n in range(1, 7)]
+    for n, ks in pairs + [(21, (3, 4, 5)), (21, (2, 2, 2, 2))]:
+        try:
+            if offdiagonal_bracket(n, ks) != hilb_integral(n, ks):
+                return False, f"off-diagonal value differs at n={n}, ks={ks}"
+        except LocalizationError as err:
+            return False, f"{err} at n={n}, ks={ks}"
     for n in range(1, 9):
         for lam in enumerate_partitions(n):
             data = fixed_point_data(lam)
@@ -291,7 +285,8 @@ def check_property_suites() -> tuple[bool, str]:
                 return False, f"tautological transpose symmetry fails at {lam}"
     return True, (f"integrality + regularity on all {len(grid)} multisets of at most 3 ch "
                   f"indices in 0..8 (n <= 6), the {sum(len(ks) <= 2 for ks in grid)} of at most 2 "
-                  "equal to their degree-K sum off the diagonal; transpose symmetry (n <= 8)")
+                  "and (3,4,5), (2,2,2,2) at n = 21 equal to their degree-K sum off the "
+                  "diagonal; transpose symmetry (n <= 8)")
 
 
 def _sum_bounded_partitions(total: int) -> list[tuple[int, ...]]:

@@ -97,31 +97,31 @@ def expand_full_crossing(n: int, num_insertions: int) -> list[tuple]:
 def ch_series(k: int, q_order: int) -> list[Monomial]:
     """Generating series of <ch_k>_n over all n, assembled from the finitely
     many nonpolar one-end contributions via the stratum sums described in
-    the module docstring: the q^n coefficient, a monomial in t, sits at
-    index n.  Each stratum term carries the exponent its own restriction
-    gives, and adding terms of different degrees raises ExactError."""
+    the module docstring: the q^n coefficient, one Fraction times t^(k - 2n),
+    sits at index n.  A seed C * u^a at n puts every stratum term at q^m on
+    t^(k - 2m) exactly when a = k - 2n + 2; any other a raises ExactError."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
-    coeffs = [Monomial(0, 0)] * (q_order + 1)
+    sums = [0] * (q_order + 1)
     # a seed at n > q_order lands beyond the order on every stratum
     for n in range(1, min((k + 2) // 2, q_order) + 1):
         seed = nonpolar_ifunction(n, (k,))
         if seed.is_zero():
             continue
         c, a = seed.coeff, seed.exp
+        if a != k - 2 * n + 2:
+            raise ExactError(f"the ch_{k} seed at n={n} has degree {a}, not {k - 2 * n + 2}")
         # one-point stratum: u -> t, divided by the normal weight t^2
-        coeffs[n] = coeffs[n] + Monomial(c, a - 2)
+        sums[n] += c
         # tree loci: u -> -psi1, and 1/(t^2 (t - psi_inf)) = sum_j psi_inf^j
         # t^(-3-j), of which only j = 2N - 3 - a meets the dimension of T_N;
         # j >= 0 from N = (a + 4) // 2 on, where T_N weighs +-C(N-2, a//2) != 0
         for big_n in range(max(2, (a + 4) // 2), q_order - n + 2):
             j = 2 * big_n - 3 - a
-            scale = c * (-1) ** a * tn_integral(big_n, a, j) / factorial(big_n - 1)
-            idx = n + big_n - 1
-            coeffs[idx] = coeffs[idx] + Monomial(scale, -3 - j)
-    return coeffs
+            sums[n + big_n - 1] += c * (-1) ** a * tn_integral(big_n, a, j) / factorial(big_n - 1)
+    return [Monomial(total, k - 2 * n) for n, total in enumerate(sums)]
 
 
 def _log_derivative(d: int, q_order: int) -> list[int]:

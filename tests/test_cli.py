@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -153,15 +154,19 @@ def test_flag_error_prints_one_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_long_exact_values_print_in_full(capsys):
-    # the coefficient has more digits than CPython's default int-to-str limit
-    code, out, err = invoke(capsys, "hilb-integral", "--n", "3", "--ch", "2000",
+def test_long_exact_values_print_in_full(monkeypatch, capsys):
+    # the coefficient has more digits than CPython's default int-to-str
+    # limit; under the bound on K no command computes one (euler at |c| =
+    # 10^18 and order 200 prints 3,226 digits), so the bracket is planted
+    from hilbwall import cli as climod
+    long = hilb_integral(3, [2000])
+    monkeypatch.setattr(climod, "hilb_integral", lambda n, ks: long)
+    code, out, err = invoke(capsys, "hilb-integral", "--n", "3", "--ch", "2",
                             "--format", "json")
     assert code == 0 and err == ""
     (term,) = json.loads(out)["result"]["terms"]
     assert len(term["coeff"]) > 4300
-    got = Monomial(Fraction(term["coeff"]), term["exp"])
-    assert got == hilb_integral(3, [2000])
+    assert Monomial(Fraction(term["coeff"]), term["exp"]) == long
 
 
 def test_verify_cli_wiring_pass(monkeypatch, capsys):
@@ -240,13 +245,27 @@ def test_ch_series_above_the_bracket_bound_exits_2(monkeypatch, capsys):
     def unreachable(k, order):
         raise AssertionError("ch_series must not run")
     monkeypatch.setattr(climod, "ch_series", unreachable)
-    # the seeds reach n = min((k + 2) // 2, order) = 45
+    # the bound on K keeps every seed, n <= (k + 2) // 2, at or below MAX_N
+    assert (climod.MAX_K + 2) // 2 <= climod.MAX_N
     code, out, err = invoke(capsys, "ch-series", "--k", "200", "--order", "45")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "40" in err
-    # at n = 40 the command still reaches ch_series
+    assert (code, out, err) == (2, "", f"error: --k must be <= {climod.MAX_K}\n")
+    # at the bound the command still reaches ch_series
     with pytest.raises(AssertionError, match="must not run"):
-        run(["ch-series", "--k", "200", "--order", "40"])
+        run(["ch-series", "--k", str(climod.MAX_K), "--order", "200"])
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["hilb-integral", "--n", "40", "--ch", "65"], "the --ch indices must sum to <= 64"),
+    (["hilb-integral", "--n", "3", "--ch", str(10**21)], "the --ch indices must sum to <= 64"),
+    (["ifunction", "--n", "40", "--ch", "30", "--ch", "35"], "the --ch indices must sum to <= 64"),
+    (["ch-series", "--k", "65", "--order", "200"], "--k must be <= 64"),
+], ids=["hilb-integral", "hilb-integral-huge", "ifunction", "ch-series"])
+def test_total_ch_degree_above_the_bound_exits_2_at_once(capsys, argv, err):
+    # just over the bound these ran for seconds, and --ch 10^21 did not end
+    start = time.perf_counter()
+    got = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert got == (2, "", f"error: {err}\n")
 
 
 def test_json_renderer_is_json_layout():
@@ -506,10 +525,10 @@ BYTE_STABLE = [
     ('euler --d 3 --c 1 --order 4', 'json', 2, 'error: --d must be 1 or 2\n',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('verify', 'table', 0, '',
-     '873b3e444f936c26198a544f95ac8bb98f83119dae585d9b7dd00a3312f1c0ef'),
+     'aabb78a2d83f14afec12f47f4fd975978d276dd69f2961fa887c9f77bc511386'),
     # the only JSON output with free-text detail strings
     ('verify', 'json', 0, '',
-     '6795861fad3075660f932259187688410ca068f997c7153fbc3cebbcda903879'),
+     'e5900f4b045769e01f7adf008905e7e2e2f747b8550dd2765b1716ae2ff8daad'),
     # one row per rendering branch of a monomial: zero, exponent 0,
     # exponent 1, and the zero u-monomial of a vanishing or polar bracket
     ('hilb-integral --n 5 --ch 1', 'table', 0, '',

@@ -8,7 +8,9 @@ import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import count
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -93,17 +95,18 @@ def test_combinatorics_check_fails_on_a_repeated_term(monkeypatch):
 # (check, the name it reads, the one call made wrong, how, the failure):
 # a check that stopped short of the top of its range would still pass
 TOP_OF_RANGE_FAULTS = [
-    (verify.check_normalization, "hilb_integral", (25,), lambda v: v + v,
+    (verify.check_normalization, "hilb_integral", (25,), lambda v: Monomial(2 * v.coeff, v.exp),
      "empty bracket mismatch at n=25"),
     (verify.check_ch1_vanishing, "hilb_integral", (25, [1]), lambda v: Monomial(1, -49),
      "<ch_1>_25 is nonzero"),
-    (verify.check_closed_forms, "hilb_integral", (25, [3]), lambda v: v + v,
+    (verify.check_closed_forms, "hilb_integral", (25, [3]), lambda v: Monomial(2 * v.coeff, v.exp),
      "<ch_3>_25 mismatch"),
-    (verify.check_ch_series_golden, "hilb_integral", (16, [12]), lambda v: v + v,
+    (verify.check_ch_series_golden, "hilb_integral", (16, [12]),
+     lambda v: Monomial(2 * v.coeff, v.exp),
      "ch_12 series disagrees with localization at q^16"),
-    # past the golden shapes (k <= 6) and the localization half (q^16)
+    # past the frozen pieces (k <= 6) and the localization half (q^16)
     (verify.check_ch_series_golden, "ch_series", (20, 200),
-     lambda v: v[:200] + [v[200] + Monomial(1, -380)],
+     lambda v: v[:200] + [Monomial(v[200].coeff + 1, -380)],
      "ch_20 series differs from exp(q) C_20 at q^200"),
     # the closures for d = 3, the ninth of them, k = 8, with its constant term off by one
     (verify.check_dilaton_closure, "pure_tilde_closures", (3,),
@@ -112,11 +115,14 @@ TOP_OF_RANGE_FAULTS = [
     (verify.check_tn_calculus, "tn_integral", (10, 16, 1), lambda v: v + 1,
      "square-removal recursion fails at (10,16,1)"),
     # 6! (8!)^3 <ch_8^3>_6 is odd, and no off-diagonal comparison reaches
-    # three indices: only the integrality claim sees the halved value
+    # three indices at n <= 6: only the integrality claim sees the halved value
     (verify.check_property_suites, "hilb_integral", (6, (8, 8, 8)),
      lambda v: Monomial(v.coeff / 2, v.exp), "n! prod k! C is not an integer at n=6, ks=(8, 8, 8)"),
-    (verify.check_property_suites, "offdiagonal_bracket", (6, (8, 8)), lambda v: v + v,
-     "off-diagonal value differs at n=6, ks=(8, 8)"),
+    (verify.check_property_suites, "offdiagonal_bracket", (6, (8, 8)),
+     lambda v: Monomial(2 * v.coeff, v.exp), "off-diagonal value differs at n=6, ks=(8, 8)"),
+    (verify.check_property_suites, "offdiagonal_bracket", (21, (2, 2, 2, 2)),
+     lambda v: Monomial(2 * v.coeff, v.exp),
+     "off-diagonal value differs at n=21, ks=(2, 2, 2, 2)"),
     (verify.check_ifunction_threshold, "nonpolar_ifunction", (6, (4, 4)),
      lambda v: Monomial(1, -2, "u"), "threshold fails at n=6, ks=(4, 4)"),
 ]
@@ -125,7 +131,8 @@ TOP_OF_RANGE_FAULTS = [
 @pytest.mark.parametrize("check, name, at, fault, detail", TOP_OF_RANGE_FAULTS,
                          ids=[check.__name__ + {"offdiagonal_bracket": "_offdiagonal",
                                                 "ch_series": "_q200"}.get(name, "")
-                              for check, name, *_ in TOP_OF_RANGE_FAULTS])
+                              + ("_n21" if at[0] == 21 else "")
+                              for check, name, at, *_ in TOP_OF_RANGE_FAULTS])
 def test_check_fails_on_one_wrong_value_at_the_top_of_its_range(
         monkeypatch, check, name, at, fault, detail):
     right = getattr(verify, name)
@@ -144,7 +151,7 @@ def test_ch_series_check_fails_on_a_connected_piece_past_its_degree(monkeypatch)
 
     def planted(n, ks):
         value = right(n, ks)
-        return value + value if (n, list(ks)) == (12, [20]) else value
+        return Monomial(2 * value.coeff, value.exp) if (n, list(ks)) == (12, [20]) else value
     monkeypatch.setattr(verify, "hilb_integral", planted)
     assert verify.check_ch_series_golden() == (
         False, "connected piece of ch_20 is nonzero at q^12")
@@ -206,20 +213,30 @@ def test_offdiagonal_degree_claim_refuses_degree_k_plus_one(monkeypatch):
 
 
 def test_ch_series_check_compares_k2_to_q200(monkeypatch):
-    # localization covers k = 2 only to q^16, so the closed form must see q^200
+    # localization covers k = 2 only to q^16, so exp(q) times the piece, which
+    # equals the frozen one, must see q^200
     def wrong_at_q200(k, order):
         series = ch_series(k, order)
         if k == 2 and order >= 200:
-            series[200] = series[200] + series[200]
+            series[200] = Monomial(2 * series[200].coeff, series[200].exp)
         return series
     monkeypatch.setattr(verify, "ch_series", wrong_at_q200)
     passed, detail = verify.check_ch_series_golden()
     assert not passed
-    assert detail == "ch_2 series differs at q^200"
+    assert detail == "ch_2 series differs from exp(q) C_2 at q^200"
 
 
-def test_golden_ch_series_reproduces_the_closed_forms():
-    # sha256 of str(golden_ch_series(k, 40)) as printed by the hand-expanded
+def test_ch_series_check_fails_on_a_wrong_frozen_piece(monkeypatch):
+    # the q^4 coefficient of the frozen C_6, its top one, off by 1/576
+    frozen = {**verify._CH_SERIES_FACTORS, 6: {**verify._CH_SERIES_FACTORS[6], 4: Fraction(0)}}
+    monkeypatch.setattr(verify, "_CH_SERIES_FACTORS", frozen)
+    assert verify.check_ch_series_golden() == (
+        False, "connected piece of ch_6 differs from its frozen form at q^4")
+
+
+def test_frozen_ch_series_factors_reproduce_the_closed_forms():
+    # sha256 of the series exp(q/t^2) C_k through q^40, its q^n coefficient
+    # sum_j c_j / (n - j)! * t^(k - 2n), as printed by the hand-expanded
     # closed forms that the table of factors replaced
     digests = {
         2: "a306de236b6e7996449be72ce6366c6b7678d312745ee21163af571f5e2ff13f",
@@ -228,13 +245,9 @@ def test_golden_ch_series_reproduces_the_closed_forms():
         5: "fac88248c48afad7dfae7c4c1a3efd0519bb911b0020ac8ab360bf733810503f",
         6: "ab40e1c07373fcb9bc95d849405f9e8dbe03100f50bd4707072b54b9a838427a",
     }
+    assert set(verify._CH_SERIES_FACTORS) == set(digests)
     for k, digest in digests.items():
-        text = str(verify.golden_ch_series(k, 40))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, k
-
-
-def test_golden_ch_series_is_a_prefix_at_every_order():
-    for k in range(2, 7):
-        full = verify.golden_ch_series(k, 10)
-        for m in range(4):
-            assert verify.golden_ch_series(k, m) == full[:m + 1], (k, m)
+        factor = verify._CH_SERIES_FACTORS[k]
+        series = [Monomial(sum(c / factorial(n - j) for j, c in factor.items() if j <= n),
+                           k - 2 * n) for n in range(41)]
+        assert hashlib.sha256(str(series).encode()).hexdigest() == digest, k

@@ -110,6 +110,20 @@ def test_ch_series_skips_seeds_beyond_the_order():
     assert short == ch_series(20, 12)[:3]
 
 
+@pytest.mark.parametrize("shift", [-2, 1])
+def test_ch_series_refuses_a_seed_of_the_wrong_degree(monkeypatch, shift):
+    # the ch_6 seed at n = 3 is C * u^2; at any other degree its stratum
+    # terms would land on the wrong power of t
+    right = wallx.nonpolar_ifunction
+
+    def shifted(n, ks):
+        seed = right(n, ks)
+        return Monomial(seed.coeff, seed.exp + shift, "u") if n == 3 else seed
+    monkeypatch.setattr(wallx, "nonpolar_ifunction", shifted)
+    with pytest.raises(ExactError, match=f"ch_6 seed at n=3 has degree {2 + shift}, not 2"):
+        ch_series(6, 10)
+
+
 def test_ch_series_validation():
     with pytest.raises(ValueError):
         ch_series(-1, 4)

@@ -13,7 +13,7 @@ Exits 1 when an ``old`` does not occur exactly once in its file, when a
 catcher fails on the unedited copy, when an edit's catcher passes, or when
 any catcher fails on an ``EQUIVALENT`` edit (the edit is caught after all,
 so it belongs in ``EDITS``); exits 0 otherwise.  Takes about three
-minutes on 2 vCPUs (2 min 38 s for 33 edits).  Run from the root of a
+minutes on 2 vCPUs (3 min 13 s for 37 edits).  Run from the root of a
 checkout:
 
     python tools/mutants.py
@@ -109,6 +109,9 @@ EDITS = [
     # the last tree locus left out of each ch_k seed's sum
     (WALLX, "range(max(2, (a + 4) // 2), q_order - n + 2)",
      "range(max(2, (a + 4) // 2), q_order - n + 1)", "verify"),
+    # the seed degree test compares the seed with itself: every real seed has
+    # the right degree, so only the planted shifted seeds see it
+    (WALLX, "if a != k - 2 * n + 2:", "if a != seed.exp:", "tier1"),
     # the tree-locus sign read from floor(a/2) instead of ceil(a/2)
     (FMCALC, "(-1) ** ((a + 1) // 2)", "(-1) ** (a // 2)", "verify"),
     # each dilaton factor c_d - m taken as c_d - m - 1
@@ -122,9 +125,10 @@ EDITS = [
     (VERIFY, "_full_terms_recursive(n, m)\n            if len(terms) != len(want) or ",
      "_full_terms_recursive(n, m)\n            if ", "tier1"),
     # check 4 compares exp(q) C_k with the ch_k series only to q^199: only
-    # the planted q^200 coefficient at k = 20 sees it
-    (VERIFY, "got = ch_series(k, 200)\n        for n in range(201):",
-     "got = ch_series(k, 200)\n        for n in range(200):", "tier1"),
+    # the planted q^200 coefficients at k = 2 and k = 20 see it
+    (VERIFY, "for n in range(201):", "for n in range(200):", "tier1"),
+    # check 4 compares each connected piece with the next frozen coefficient
+    (VERIFY, "_CH_SERIES_FACTORS[k].get(j, 0)", "_CH_SERIES_FACTORS[k].get(j + 1, 0)", "verify"),
     # check 4 reads each connected piece past its top coefficient, where
     # it is always empty: only the planted piece past its bound sees it
     (VERIFY, "if piece[top]:", "if piece[top + 1:]:", "tier1"),
@@ -132,6 +136,11 @@ EDITS = [
     # reading the (K+2)-th difference: only a sum of degree K + 1 in M,
     # which the homogeneity test refuses with another message, passes it
     (VERIFY, "range(start, start + big + 2)", "range(start, start + big + 3)", "tier1"),
+    # each distinct index's power sum taken once, whatever its multiplicity
+    (VERIFY, "** e for k, e in counts", "for k, e in counts", "verify"),
+    # check 10 leaves out its two off-diagonal comparisons at n = 21: only the
+    # planted value at the top of its range sees it
+    (VERIFY, "pairs + [(21, (3, 4, 5)), (21, (2, 2, 2, 2))]:", "pairs:", "tier1"),
     # the homogeneity test of the off-diagonal sum scaled by 2^(K+1)
     (VERIFY, "2 ** big * diffs[0]", "2 ** (big + 1) * diffs[0]", "verify"),
     # arm and leg swapped in the first tangent weight of each box, which
