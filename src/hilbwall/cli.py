@@ -69,6 +69,19 @@ class _Parser(argparse.ArgumentParser):
         super()._print_message(message, file)
 
 
+class _Append(argparse.Action):
+    """argparse's append, at most MAX_K times and in place: argparse's own
+    copies the list on every flag, so n flags cost n^2.  Every index but 0
+    adds at least 1 to K <= MAX_K, so the cap refuses only ch_0 past it."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        values = getattr(namespace, self.dest) or []
+        if len(values) == MAX_K:
+            parser.error(f"{option_string} may be given at most {MAX_K} times")
+        values.append(value)
+        setattr(namespace, self.dest, values)
+
+
 def _monomial_json(m: Monomial) -> dict:
     return {"variable": m.var,
             "terms": [{"coeff": str(c), "exp": e} for e, c in m.terms.items()]}
@@ -269,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilb-integral",
                        help="bracket of ch insertions on the n-point Hilbert scheme")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ch", "--k", dest="ch", type=int, action="append",
+    p.add_argument("--ch", "--k", dest="ch", type=int, action=_Append,
                    help="a ch index; repeat for multiple insertions")
     common(p)
     p.set_defaults(fn=_cmd_bracket, bracket=hilb_integral)
@@ -277,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ifunction",
                        help="nonpolar one-end contribution, as a monomial in u = t + z")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ch", "--k", dest="ch", type=int, action="append")
+    p.add_argument("--ch", "--k", dest="ch", type=int, action=_Append)
     common(p)
     p.set_defaults(fn=_cmd_bracket, bracket=nonpolar_ifunction)
 
@@ -289,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_tn)
 
     p = sub.add_parser("ch-series", help="generating series of the ch_k brackets")
-    p.add_argument("--k", "--ch", dest="k", type=int, action="append", required=True)
+    p.add_argument("--k", "--ch", dest="k", type=int, action=_Append, required=True)
     p.add_argument("--order", type=int, required=True)
     common(p)
     p.set_defaults(fn=_cmd_ch_series)

@@ -9,8 +9,9 @@ connected piece C_k = Z_k exp(-q) built from localization, that piece
 against its frozen closed form for k = 2..6, the tree-locus integrals
 against their Pascal-style recursion, the dilaton closures that the Euler
 wall-crossing reads against integer binomials, and the combinatorial
-expanders against recursive enumeration.  Everything is exact; a check
-fails only on a true mismatch.
+expanders' term lists against closed-form counts of their well-formed
+terms: a list of well-formed terms without repeats, as long as that count,
+is all of them.  Everything is exact; a check fails only on a true mismatch.
 
 The off-diagonal sum rests on a claim argued from the Hilbert-Chow map to
 Sym^n(C^2), which is proper, and not proven here: n! (t1 t2)^n times a
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb, factorial, lcm, perm, prod
 from typing import Callable, Iterable
 
@@ -289,14 +290,9 @@ def check_property_suites() -> tuple[bool, str]:
                   "diagonal; transpose symmetry (n <= 8)")
 
 
-def _sum_bounded_partitions(total: int) -> list[tuple[int, ...]]:
-    """All multisets of positive integers with sum <= total, as weakly
-    decreasing tuples."""
-    return [lam for m in range(total + 1) for lam in enumerate_partitions(m)]
-
-
 def check_ifunction_threshold() -> tuple[bool, str]:
-    for ks in _sum_bounded_partitions(14):
+    # every multiset of positive indices with sum <= 14, by sum
+    for ks in [lam for size in range(15) for lam in enumerate_partitions(size)]:
         total = sum(ks)
         for n in range(1, 7):
             seed = nonpolar_ifunction(n, ks)
@@ -308,67 +304,44 @@ def check_ifunction_threshold() -> tuple[bool, str]:
     return True, "nonpolar part vanishes iff sum k < 2n-2 or the bracket is 0 (n <= 6, sum k <= 14)"
 
 
-def _wall_terms_recursive(n: int, m: int, n0: int) -> set:
-    """Independent enumeration of the single-wall terms."""
-    found = set()
-
-    def place(k: int, idx: int, retained: tuple[int, ...],
-              blocks: tuple[tuple[int, ...], ...]):
-        if idx == m:
-            found.add((k, retained, blocks))
-            return
-        place(k, idx + 1, retained + (idx,), blocks)
-        for b in range(k):
-            updated = blocks[:b] + (blocks[b] + (idx,),) + blocks[b + 1:]
-            place(k, idx + 1, retained, updated)
-
-    k = 1
-    while k * n0 <= n:
-        place(k, 0, (), ((),) * k)
-        k += 1
-    return found
-
-
-def _full_terms_recursive(n: int, m: int) -> set:
-    """Independent enumeration of the full-crossing terms."""
-    def splits(total):
-        if total == 0:
-            yield ()
-        for first in range(1, total + 1):
-            for rest in splits(total - first):
-                yield (first,) + rest
-
-    found = set()
-    for sizes in splits(n):
-        k = len(sizes)
-
-        def place(idx: int, assigned: tuple[tuple[int, ...], ...]):
-            if idx == m:
-                found.add(tuple(zip(sizes, assigned)))
-                return
-            for b in range(k):
-                place(idx + 1,
-                      assigned[:b] + (assigned[b] + (idx,),) + assigned[b + 1:])
-
-        place(0, ((),) * k)
-    return found
+def _is_every_term(terms: list, framed: Iterable, m: int, count: int) -> bool:
+    """Whether ``terms`` lists each of the ``count`` well-formed terms once.
+    ``framed`` gives, term by term, whether its frame is right and its
+    slots; a term is well-formed when its frame is right and its slots are
+    increasing tuples that hold each insertion 0..m-1 once.  Distinct
+    well-formed terms are a subset of all of them, and a subset as large
+    as the whole set is the whole set."""
+    unique, insertions = set(terms), list(range(m))
+    # every increasing tuple of insertions, each a combination of them
+    increasing = {c for size in range(m + 1) for c in combinations(insertions, size)}
+    return len(terms) == len(unique) and len(unique) == count and all(
+        frame and increasing.issuperset(slots)
+        and sorted(chain.from_iterable(slots)) == insertions for frame, slots in framed)
 
 
 def check_combinatorics() -> tuple[bool, str]:
     for n in range(1, 13):
-        if len(expand_full_crossing(n, 0)) != 2 ** (n - 1):
-            return False, f"composition count fails at n={n}"
-    for n in range(1, 7):
-        for m in range(0, 5):
-            for n0 in range(1, n + 1):
-                # each term exactly once: a repeated term leaves the set as it is
-                terms, want = expand_wall_terms(n, m, n0), _wall_terms_recursive(n, m, n0)
-                if len(terms) != len(want) or set(terms) != want:
+        # m = 0 lists the compositions, to n = 12; the other ranges stop at 6
+        ms, walls = (range(5), range(1, n + 1)) if n <= 6 else (range(1), ())
+        for m in ms:
+            for n0 in walls:
+                terms, top = expand_wall_terms(n, m, n0), n // n0
+                # each insertion picks one of the k + 1 slots
+                count = sum((k + 1) ** m for k in range(1, top + 1))
+                framed = ((1 <= k <= top and len(blocks) == k, (retained,) + blocks)
+                          for k, retained, blocks in terms)
+                if not _is_every_term(terms, framed, m, count):
                     return False, f"wall terms differ at n={n}, m={m}, n0={n0}"
-            terms, want = expand_full_crossing(n, m), _full_terms_recursive(n, m)
-            if len(terms) != len(want) or set(terms) != want:
-                return False, f"full-crossing terms differ at n={n}, m={m}"
-    return True, "2^(n-1) compositions (n <= 12); expander terms match recursive enumeration"
+            terms = expand_full_crossing(n, m)
+            # C(n - 1, j - 1) compositions of n into j parts, j^m placements each
+            count = sum(comb(n - 1, j - 1) * j ** m for j in range(1, n + 1))
+            framed = ((min(sizes) >= 1 and sum(sizes) == n, slots)
+                      for sizes, slots in (zip(*term) for term in terms))
+            if not _is_every_term(terms, framed, m, count):
+                return False, (f"full-crossing terms differ at n={n}, m={m}" if m
+                               else f"composition count fails at n={n}")
+    return True, ("2^(n-1) compositions (n <= 12); each expander lists its closed-form "
+                  "count of distinct well-formed terms (n <= 6, m <= 4)")
 
 
 # the one list of checks, each returning (passed, detail): `hilbwall verify`

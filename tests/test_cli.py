@@ -268,6 +268,26 @@ def test_total_ch_degree_above_the_bound_exits_2_at_once(capsys, argv, err):
     assert got == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("flags", [65, 5000])
+@pytest.mark.parametrize("command, flag", [
+    (["hilb-integral", "--n", "3"], "--ch"),
+    (["ifunction", "--n", "3"], "--ch"),
+    (["ch-series", "--order", "3"], "--k"),
+], ids=["hilb-integral", "ifunction", "ch-series"])
+def test_more_than_max_k_insertions_exit_2_at_once(capsys, command, flag, flags):
+    # ch_0 adds nothing to K, so only the count of flags bounds it; flags
+    # past the cap must cost nothing, however many follow
+    start = time.perf_counter()
+    got = invoke(capsys, *command, *[flag, "0"] * flags)
+    assert time.perf_counter() - start < 0.5
+    assert got == (2, "", f"error: {flag} may be given at most 64 times\n")
+
+
+def test_max_k_ch_0_insertions_are_accepted(capsys):
+    got = invoke(capsys, "hilb-integral", "--n", "3", *["--ch", "0"] * 64)
+    assert got == (0, f"{hilb_integral(3, [0] * 64)}\n", "")
+
+
 def test_json_renderer_is_json_layout():
     from hilbwall.cli import _chunks
     doc = {"empty": [[], {}, {"deep": [[], {"deeper": {}}]}],
@@ -525,10 +545,10 @@ BYTE_STABLE = [
     ('euler --d 3 --c 1 --order 4', 'json', 2, 'error: --d must be 1 or 2\n',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('verify', 'table', 0, '',
-     'aabb78a2d83f14afec12f47f4fd975978d276dd69f2961fa887c9f77bc511386'),
+     '6ff182d77626d2504efdccb8aef99c08d2be7ebf3ca6819d37d0bae6e6586307'),
     # the only JSON output with free-text detail strings
     ('verify', 'json', 0, '',
-     'e5900f4b045769e01f7adf008905e7e2e2f747b8550dd2765b1716ae2ff8daad'),
+     'd920a7468b783f46c9585338e368b006885210d79acca90108f06c5107e05bb4'),
     # one row per rendering branch of a monomial: zero, exponent 0,
     # exponent 1, and the zero u-monomial of a vanishing or polar bracket
     ('hilb-integral --n 5 --ch 1', 'table', 0, '',

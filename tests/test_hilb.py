@@ -11,7 +11,7 @@ from hilbwall.hilb import (LocalizationError, conjugate, enumerate_partitions,
                            fixed_point_data, hilb_integral, tangent_weights,
                            taut_weights)
 from hilbwall.ifun import nonpolar_ifunction
-from hilbwall.verify import _sum_bounded_partitions, offdiagonal_bracket
+from hilbwall.verify import offdiagonal_bracket
 
 
 def mono(exp, coeff):
@@ -119,11 +119,11 @@ def test_higher_ch_anchor_values():
 
 
 def test_offdiagonal_oracle_on_every_small_bracket():
-    brackets = [(n, ks) for n in range(1, 5) for ks in _sum_bounded_partitions(6)]
+    brackets = [(n, ks) for n in range(1, 5) for m in range(7) for ks in enumerate_partitions(m)]
     # ch_0 pads, which the kernel reads as the rank n and the oracle sums
     # as the box count at every fixed point
     brackets += [(n, ks + (0,) * pads) for n in range(1, 5)
-                 for ks in _sum_bounded_partitions(4) for pads in (1, 2)]
+                 for m in range(5) for ks in enumerate_partitions(m) for pads in (1, 2)]
     assert len(brackets) == 120 + 96
     for n, ks in brackets:
         assert hilb_integral(n, ks) == offdiagonal_bracket(n, ks), (n, ks)

@@ -92,6 +92,21 @@ def test_combinatorics_check_fails_on_a_repeated_term(monkeypatch):
     assert detail == "wall terms differ at n=4, m=2, n0=1"
 
 
+def test_combinatorics_check_fails_on_an_insertion_in_two_blocks(monkeypatch):
+    # the last wall term at (6, 4, 1) gains insertion 0 in its first block as
+    # well: the count stays and no term repeats, so only the test that each
+    # insertion lies in exactly one slot sees it
+    def two_blocks(n, m, n0):
+        terms = expand_wall_terms(n, m, n0)
+        if (n, m, n0) == (6, 4, 1):
+            k, retained, blocks = terms[-1]
+            terms[-1] = (k, retained, ((0,),) + blocks[1:])
+        return terms
+
+    monkeypatch.setattr(verify, "expand_wall_terms", two_blocks)
+    assert verify.check_combinatorics() == (False, "wall terms differ at n=6, m=4, n0=1")
+
+
 # (check, the name it reads, the one call made wrong, how, the failure):
 # a check that stopped short of the top of its range would still pass
 TOP_OF_RANGE_FAULTS = [
@@ -125,13 +140,25 @@ TOP_OF_RANGE_FAULTS = [
      "off-diagonal value differs at n=21, ks=(2, 2, 2, 2)"),
     (verify.check_ifunction_threshold, "nonpolar_ifunction", (6, (4, 4)),
      lambda v: Monomial(1, -2, "u"), "threshold fails at n=6, ks=(4, 4)"),
+    # the composition (12,) left out
+    (verify.check_combinatorics, "expand_full_crossing", (12, 0), lambda v: v[:-1],
+     "composition count fails at n=12"),
+    # the first term, which retains all four insertions, with its retained
+    # tuple reversed: the count stays and no term repeats
+    (verify.check_combinatorics, "expand_wall_terms", (6, 4, 1),
+     lambda v: [(v[0][0], v[0][1][::-1], v[0][2])] + v[1:],
+     "wall terms differ at n=6, m=4, n0=1"),
+    (verify.check_combinatorics, "expand_full_crossing", (6, 4), lambda v: v[:-1],
+     "full-crossing terms differ at n=6, m=4"),
 ]
 
 
 @pytest.mark.parametrize("check, name, at, fault, detail", TOP_OF_RANGE_FAULTS,
                          ids=[check.__name__ + {"offdiagonal_bracket": "_offdiagonal",
-                                                "ch_series": "_q200"}.get(name, "")
-                              + ("_n21" if at[0] == 21 else "")
+                                                "ch_series": "_q200",
+                                                "expand_wall_terms": "_wall",
+                                                "expand_full_crossing": "_full"}.get(name, "")
+                              + (f"_n{at[0]}" if at[0] in (12, 21) else "")
                               for check, name, at, *_ in TOP_OF_RANGE_FAULTS])
 def test_check_fails_on_one_wrong_value_at_the_top_of_its_range(
         monkeypatch, check, name, at, fault, detail):

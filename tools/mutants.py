@@ -12,8 +12,8 @@ runs the catcher there, one process at a time.
 Exits 1 when an ``old`` does not occur exactly once in its file, when a
 catcher fails on the unedited copy, when an edit's catcher passes, or when
 any catcher fails on an ``EQUIVALENT`` edit (the edit is caught after all,
-so it belongs in ``EDITS``); exits 0 otherwise.  Takes about three
-minutes on 2 vCPUs (3 min 13 s for 37 edits).  Run from the root of a
+so it belongs in ``EDITS``); exits 0 otherwise.  Takes three to six
+minutes on 2 vCPUs (5 min 45 s for 44 edits).  Run from the root of a
 checkout:
 
     python tools/mutants.py
@@ -120,10 +120,25 @@ EDITS = [
     # planted truncation sees it
     (VERIFY, "if len(wc) != 21 or len(closed) != 21:", "if len(wc) != len(closed):",
      "tier1"),
-    # the full-crossing terms compared as sets only: a repeated term passes,
-    # and only the planted repeat sees it (the comparison alone is not unique)
-    (VERIFY, "_full_terms_recursive(n, m)\n            if len(terms) != len(want) or ",
-     "_full_terms_recursive(n, m)\n            if ", "tier1"),
+    # check 12 counts the wall terms with k slots in place of k + 1
+    (VERIFY, "(k + 1) ** m for k", "k ** m for k", "verify"),
+    # check 12 counts the compositions of n + 1 into j parts
+    (VERIFY, "comb(n - 1, j - 1)", "comb(n, j - 1)", "verify"),
+    # check 12 counts the distinct terms only: a repeated term passes, and
+    # only the planted repeat sees it
+    (VERIFY, "len(terms) == len(unique) and ", "", "tier1"),
+    # check 12 asks only that every insertion lies in some slot: only the
+    # planted insertion in two blocks sees it
+    (VERIFY, "sorted(chain.from_iterable(slots)) == insertions",
+     "set(chain.from_iterable(slots)) == set(insertions)", "tier1"),
+    # check 12 accepts a slot in any order: only the planted reversed
+    # retained tuple sees it
+    (VERIFY, "frame and increasing.issuperset(slots)\n        and ", "frame and ", "tier1"),
+    # the last slot of every term left empty: check 12's counts see it
+    (WALLX, "product(range(slots), repeat=m)", "product(range(slots - 1), repeat=m)",
+     "verify"),
+    # every composition starts with a part of 2 or more
+    (WALLX, "for first in range(1, n + 1):", "for first in range(2, n + 1):", "verify"),
     # check 4 compares exp(q) C_k with the ch_k series only to q^199: only
     # the planted q^200 coefficients at k = 2 and k = 20 see it
     (VERIFY, "for n in range(201):", "for n in range(200):", "tier1"),
@@ -146,6 +161,8 @@ EDITS = [
     # arm and leg swapped in the first tangent weight of each box, which
     # the kernel and the off-diagonal sum both read
     (HILB, "out.append((a + 1, -l))", "out.append((l + 1, -a))", "verify"),
+    # a 65th --ch accepted: only the test of flag 65 sees it
+    (CLI, "if len(values) == MAX_K:", "if len(values) > MAX_K:", "tier1"),
     # JSON indented by one space a level: the byte-stable digests
     (CLI, 'inner = indent + "  "', 'inner = indent + " "', "tier1"),
     # True written as Python's True in an int line: the renderer test's [1, True]
