@@ -7,11 +7,6 @@ from hilbwall.fmcalc import pure_tilde_closures, tn_integral
 
 # --- tree-locus integrals -------------------------------------------------------
 
-def test_tn_integral_base_values():
-    assert tn_integral(2, 1, 0) == -1
-    assert tn_integral(2, 0, 1) == 1
-
-
 def test_tn_integral_examples():
     assert tn_integral(3, 3, 0) == 1
     assert tn_integral(4, 2, 3) == -2

@@ -118,7 +118,11 @@ TOP_OF_RANGE_FAULTS = [
      "<ch_3>_25 mismatch"),
     (verify.check_ch_series_golden, "hilb_integral", (16, [12]),
      lambda v: Monomial(2 * v.coeff, v.exp),
-     "ch_12 series disagrees with localization at q^16"),
+     "connected piece of ch_12 is nonzero at q^16"),
+    # the top of both ranges of the localization half, k = 20 and q^16
+    (verify.check_ch_series_golden, "hilb_integral", (16, [20]),
+     lambda v: Monomial(2 * v.coeff, v.exp),
+     "connected piece of ch_20 is nonzero at q^16"),
     # past the frozen pieces (k <= 6) and the localization half (q^16)
     (verify.check_ch_series_golden, "ch_series", (20, 200),
      lambda v: v[:200] + [Monomial(v[200].coeff + 1, -380)],
@@ -159,6 +163,7 @@ TOP_OF_RANGE_FAULTS = [
                                                 "expand_wall_terms": "_wall",
                                                 "expand_full_crossing": "_full"}.get(name, "")
                               + (f"_n{at[0]}" if at[0] in (12, 21) else "")
+                              + ("_k20" if at == (16, [20]) else "")
                               for check, name, at, *_ in TOP_OF_RANGE_FAULTS])
 def test_check_fails_on_one_wrong_value_at_the_top_of_its_range(
         monkeypatch, check, name, at, fault, detail):
@@ -259,6 +264,13 @@ def test_ch_series_check_fails_on_a_wrong_frozen_piece(monkeypatch):
     monkeypatch.setattr(verify, "_CH_SERIES_FACTORS", frozen)
     assert verify.check_ch_series_golden() == (
         False, "connected piece of ch_6 differs from its frozen form at q^4")
+
+
+def test_closed_forms_check_reads_the_frozen_pieces(monkeypatch):
+    # the frozen C_3 doubled: check 3 must compare <ch_3>_n with the table
+    frozen = {**verify._CH_SERIES_FACTORS, 3: {2: Fraction(1, 3)}}
+    monkeypatch.setattr(verify, "_CH_SERIES_FACTORS", frozen)
+    assert verify.check_closed_forms() == (False, "<ch_3>_2 mismatch")
 
 
 def test_frozen_ch_series_factors_reproduce_the_closed_forms():

@@ -12,8 +12,8 @@ runs the catcher there, one process at a time.
 Exits 1 when an ``old`` does not occur exactly once in its file, when a
 catcher fails on the unedited copy, when an edit's catcher passes, or when
 any catcher fails on an ``EQUIVALENT`` edit (the edit is caught after all,
-so it belongs in ``EDITS``); exits 0 otherwise.  Takes three to six
-minutes on 2 vCPUs (5 min 45 s for 44 edits).  Run from the root of a
+so it belongs in ``EDITS``); exits 0 otherwise.  Takes three to seven
+minutes on 2 vCPUs (6 min 15 s for 47 edits).  Run from the root of a
 checkout:
 
     python tools/mutants.py
@@ -144,9 +144,17 @@ EDITS = [
     (VERIFY, "for n in range(201):", "for n in range(200):", "tier1"),
     # check 4 compares each connected piece with the next frozen coefficient
     (VERIFY, "_CH_SERIES_FACTORS[k].get(j, 0)", "_CH_SERIES_FACTORS[k].get(j + 1, 0)", "verify"),
-    # check 4 reads each connected piece past its top coefficient, where
-    # it is always empty: only the planted piece past its bound sees it
-    (VERIFY, "if piece[top]:", "if piece[top + 1:]:", "tier1"),
+    # check 4 builds each connected piece only through q^15: only the
+    # planted values at q^16 see it
+    (VERIFY, "for m in range(17)]", "for m in range(16)]", "tier1"),
+    # check 4's zero test starts two coefficients past the bound: only the
+    # planted piece at q^12, one past the bound of C_20, sees it
+    (VERIFY, "range((k + 2) // 2 + 1, len(piece))", "range((k + 2) // 2 + 2, len(piece))",
+     "tier1"),
+    # check 3 leaves out ch_3: only the planted values of <ch_3> see it
+    (VERIFY, "for k in (2, 3):", "for k in (2,):", "tier1"),
+    # check 3 divides the frozen C_k by (n - j + 1)! in place of (n - j)!
+    (VERIFY, "c / factorial(n - j)", "c / factorial(n - j + 1)", "verify"),
     # the off-diagonal sum sampled at one more point and its degree test
     # reading the (K+2)-th difference: only a sum of degree K + 1 in M,
     # which the homogeneity test refuses with another message, passes it
