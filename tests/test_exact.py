@@ -5,7 +5,8 @@ import pytest
 
 from hilbwall import wallx
 from hilbwall.exact import ExactError, Monomial
-from hilbwall.wallx import euler_series_closed
+from hilbwall.verify import _plane_partition_counts
+from hilbwall.wallx import euler_series_closed, euler_series_wc
 
 
 # --- monomials ------------------------------------------------------------------
@@ -90,6 +91,21 @@ def test_closed_form_division_is_exact(monkeypatch):
 
 # --- partition and plane-partition counting oracles --------------------------
 
+def count_partitions(n, cap=None):
+    """Brute-force partition count, independent of the package."""
+    if n == 0:
+        return 1
+    cap = n if cap is None else cap
+    return sum(count_partitions(n - p, p) for p in range(min(cap, n), 0, -1))
+
+
+def test_partition_product_counts_partitions():
+    s = euler_series_closed(2, 1, 8)
+    assert s[:5] == [1, 1, 2, 3, 5] and len(s) == 9
+    assert s[8] == count_partitions(8)
+    assert count_partitions(8) == 22
+
+
 def test_macmahon_times_inverse_factors_is_one():
     # M(q) times prod_m (1 - q^m)^m, each factor a repeated product
     order = 30
@@ -100,3 +116,10 @@ def test_macmahon_times_inverse_factors_is_one():
         for _ in range(m):
             product = truncated_product(product, factor)
     assert product == [1] + [0] * order
+
+
+def test_euler_wc_dimension_3_is_the_signed_plane_partition_count():
+    # at c = 1 the dimension-3 wall-crossing series is its base M(-q);
+    # coefficients from the brute-force plane-partition count
+    expected = [(-1) ** n * pp for n, pp in enumerate(_plane_partition_counts(4))]
+    assert euler_series_wc(3, 1, 4) == expected

@@ -111,6 +111,13 @@ def test_taut_weights_examples():
 
 # --- localization anchors ------------------------------------------------------
 
+def test_higher_ch_anchor_values():
+    assert hilb_integral(2, [4]) == mono(0, F(-1, 16))
+    assert hilb_integral(3, [4]) == mono(-2, F(-5, 144))
+    assert hilb_integral(2, [5]) == mono(1, F(1, 60))
+    assert hilb_integral(3, [6]) == mono(0, F(77, 4320))
+
+
 def test_offdiagonal_oracle_on_every_small_bracket():
     brackets = [(n, ks) for n in range(1, 5) for m in range(7) for ks in enumerate_partitions(m)]
     # ch_0 pads, which the kernel reads as the rank n and the oracle sums

@@ -6,6 +6,7 @@ from hilbwall import hilb
 from hilbwall.exact import Monomial
 from hilbwall.hilb import hilb_integral
 from hilbwall.ifun import nonpolar_ifunction
+from hilbwall.wallx import ch_series
 
 
 def test_nonpolar_examples():
@@ -13,6 +14,25 @@ def test_nonpolar_examples():
     assert nonpolar_ifunction(1, [1]).is_zero()
     assert nonpolar_ifunction(2, [2]) == Monomial(F(-1, 4), 0, "u")
     assert nonpolar_ifunction(3, [2]).is_zero()
+
+
+# ch_series restricts each seed C * u^a to the fixed strata; with a small
+# q-order one seed's restrictions can be read off one coefficient at a time
+
+def test_restriction_to_point_stratum():
+    # u -> t, divided by the normal weight t^2, lands at q^n
+    assert nonpolar_ifunction(2, [2]) == Monomial(F(-1, 4), 0, "u")
+    assert ch_series(2, 2)[2] == Monomial(F(-1, 4), -2)
+    assert nonpolar_ifunction(2, [4]) == Monomial(F(-1, 16), 2, "u")
+    assert ch_series(4, 2)[2] == Monomial(F(-1, 16), 0)
+
+
+def test_restriction_to_tree_stratum():
+    # u -> -psi1 on T_2 lands at q^(n+1) with int_{T_2} psi1^a psi_inf^(1-a)
+    assert ch_series(2, 3)[3] == Monomial(F(-1, 4), -4)
+    # odd exponents pick up the sign of u -> -psi1: (-1) * int_{T_2} psi1 = +1
+    assert nonpolar_ifunction(2, [3]) == Monomial(F(1, 6), 1, "u")
+    assert ch_series(3, 3)[3] == Monomial(F(1, 6), -3)
 
 
 def test_point_restriction_tautology():

@@ -1,9 +1,17 @@
+from fractions import Fraction as F
+from math import factorial
+
 import pytest
 
 from hilbwall import hilb, wallx
 from hilbwall.exact import ExactError, Monomial
+from hilbwall.hilb import hilb_integral
 from hilbwall.wallx import (ch_series, euler_series_closed, euler_series_wc,
                             expand_wall_terms)
+
+
+def mono(exp, coeff):
+    return Monomial(coeff, exp)
 
 
 # --- term expanders ---------------------------------------------------------
@@ -17,6 +25,38 @@ def test_wall_spec_validation():
 
 
 # --- the ch_k series pipeline -------------------------------------------------
+
+def test_ch_series_matches_closed_form_k2():
+    s = ch_series(2, 6)
+    assert s[0].is_zero()
+    assert s[1].is_zero()
+    for n in range(2, 7):
+        assert s[n] == mono(-2 * (n - 1), F(-1, 4 * factorial(n - 2)))
+
+
+def test_ch_series_spot_values():
+    assert ch_series(3, 2)[2] == mono(-1, F(1, 6))
+    s4 = ch_series(4, 5)
+    assert s4[2] == mono(0, F(-1, 16))
+    assert s4[3] == mono(-2, F(-5, 144))
+    # q^5: 2/(16*3!) - 5/(144*2!) = 1/48 - 5/288 = 1/288, all at t^-6
+    assert s4[5] == mono(-6, F(1, 288))
+
+
+def test_ch_series_k0_counts_points():
+    # the ch_0 insertion is the constant n, so the q^n coefficient is
+    # n/(n! t^2n) = 1/((n-1)! t^2n)
+    s = ch_series(0, 5)
+    for n in range(1, 6):
+        assert s[n] == mono(-2 * n, F(1, factorial(n - 1)))
+
+
+def test_ch_series_agrees_with_localization():
+    for k in range(0, 7):
+        s = ch_series(k, 6)
+        for n in range(1, 7):
+            assert s[n] == hilb_integral(n, [k]), (k, n)
+
 
 def test_ch_series_skips_seeds_beyond_the_order():
     # a seed at n > q_order cannot land in the series, so only n = 1, 2 run
@@ -93,3 +133,11 @@ def test_euler_wc_rejects_a_non_integer_power_as_the_closed_form_does():
     for series in (euler_series_wc, euler_series_closed):
         with pytest.raises(ExactError, match="series power must be an integer"):
             series(1, 2.5, 4)
+
+
+# --- the dimension-three substitution identity ----------------------------------
+
+def test_dt_identity_examples():
+    # the series dt-check compares: wall-crossing sum against M(-q)^c
+    for c, order in ((0, 4), (1, 10), (-6, 10)):
+        assert euler_series_wc(3, c, order) == euler_series_closed(3, c, order)
